@@ -1,33 +1,15 @@
-"""Kernel backend selection.
+"""The GF(2) kernels under the name the rest of the package imports.
 
-The compiled extension (booldim._kernels_cy, built from Cython) and the pure
-module (booldim._kernels_py) export the same functions over the same bit-row
-representation.  The extension wins when importable; set BOOLDIM_PURE=1 to
-force the pure fallback.
+booldim._kernels_py is the only implementation; its searches are pruned
+rather than compiled.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _kernels_py
-
-if os.environ.get("BOOLDIM_PURE"):
-    _active = _kernels_py
-    _backend_name = "pure"
-else:
-    try:
-        from . import _kernels_cy as _active  # type: ignore[no-redef]
-
-        _backend_name = "cython"
-    except ImportError:
-        _active = _kernels_py
-        _backend_name = "pure"
+from . import _kernels_py as kernels
 
 
 def kernel_backend() -> str:
-    """Name of the kernel implementation in use: 'cython' or 'pure'."""
-    return _backend_name
+    """Name of the kernel implementation in use: always 'pure'."""
+    return "pure"
 
-
-kernels = _active

@@ -1,11 +1,8 @@
-"""Bit-packed GF(2) kernels, pure-Python reference implementation.
+"""Bit-packed GF(2) kernels: rank, the diagonal-mask search, and the
+tournament order search and canonical form.
 
 A matrix lives as a sequence of row bitmasks: bit j of ``rows[i]`` is entry
-(i, j).  Everything here is a pure function of its arguments, so workers can
-call these concurrently, and chunked calls reduce deterministically.
-
-booldim._kernels_cy mirrors this module function for function; the backend
-active at import time is chosen by booldim._backend.
+(i, j).  Everything here is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -15,9 +12,8 @@ from itertools import permutations
 
 from .errors import BudgetExceededError
 
-MAX_N = 64
-
-# Deadline polling granularity for the inner sweep loops.
+# The diagonal search polls the deadline at its first node and then every
+# 1024 nodes.
 _CHECK_MASK = 0x3FF
 
 
@@ -27,103 +23,88 @@ def _check_deadline(deadline):
 
 
 def rank(rows, n: int) -> int:
-    """GF(2) rank via column-pivot Gaussian elimination on bit-rows."""
-    work = list(rows)
+    """GF(2) rank: each row is reduced into a basis keyed by leading bit."""
+    basis = [0] * n
     r = 0
-    for col in range(n):
-        bit = 1 << col
-        piv = -1
-        for i in range(r, n):
-            if work[i] & bit:
-                piv = i
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            if not basis[lead]:
+                basis[lead] = row
+                r += 1
                 break
-        if piv < 0:
-            continue
-        work[piv], work[r] = work[r], work[piv]
-        prow = work[r]
-        for i in range(r + 1, n):
-            if work[i] & bit:
-                work[i] ^= prow
-        r += 1
-        if r == n:
-            break
+            row ^= basis[lead]
     return r
 
 
-def rank_capped(rows, n: int, cap: int) -> int:
-    """Like rank(), but gives up and returns ``cap`` once the partial rank
-    reaches it.  Exact whenever the result is below ``cap``."""
-    if cap <= 0:
-        return cap
-    work = list(rows)
-    r = 0
-    for col in range(n):
-        bit = 1 << col
-        piv = -1
-        for i in range(r, n):
-            if work[i] & bit:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        work[piv], work[r] = work[r], work[piv]
-        prow = work[r]
-        for i in range(r + 1, n):
-            if work[i] & bit:
-                work[i] ^= prow
-        r += 1
-        if r >= cap:
-            return cap
-    return r
+def diagonal_sweep(rows, n: int, cap: int, stop_at: int = 0, deadline: float | None = None):
+    """Least rank(A + D) below ``cap`` over the nonzero diagonal masks D.
 
+    A depth-first search decides the diagonal bits from vertex n-1 down.  At
+    each node the child whose bit equals the parity of the bits already set
+    goes first, so the leaves come in reflected-Gray-code order (position p
+    is mask p ^ (p >> 1)) and the mask returned is the first in that order to
+    attain the minimum.  Deciding bit k fixes row k of A + D; the fixed rows
+    sit in an XOR basis keyed by leading bit, and their rank is a lower bound
+    for every leaf below, so a subtree is cut once it reaches the best cost
+    found.  The search stops once the best cost is at most ``stop_at``.
 
-def diagonal_sweep(
-    rows,
-    n: int,
-    boolean_mode: bool,
-    stop_at: int,
-    start: int,
-    stop: int,
-    deadline: float | None = None,
-    cap: int | None = None,
-):
-    """Minimise the diagonal-perturbation cost over a Gray-code mask range.
-
-    Position p in [start, stop) denotes the diagonal mask gray(p) = p ^ (p >> 1),
-    so successive masks differ in one diagonal bit.  The cost of mask D is
-    rank(A + D); in boolean mode the D = 0 matrix is alternating (the input has
-    a zero diagonal) and a nonzero alternating Gram matrix needs one extra
-    coordinate, so its cost is 0 for rank 0 and rank + 1 otherwise.
-
-    Returns ``(best_cost, best_mask, best_pos)`` where best_pos is the first
-    position attaining best_cost.  Stops scanning early once
-    best_cost <= stop_at.  ``cap`` seeds the running minimum: costs >= cap are
-    never reported (best_mask/best_pos come back -1 if nothing beat it).
+    Mask 0 is Gray position 0, and its cost depends on what the caller is
+    computing, so the caller prices it.  Returns ``(best, mask)``, or
+    ``(cap, -1)`` when no nonzero mask costs less than ``cap``.
     """
-    best = n + 2 if cap is None else cap
+    best = cap
     best_mask = -1
-    best_pos = -1
-    for pos in range(start, stop):
-        if not (pos & _CHECK_MASK):
+    basis = [0] * n
+    nodes = 0
+
+    def descend(k, mask, parity, r):
+        # Bits k..n-1 of mask are decided; their rows have rank r < best.
+        # Returns True once the search may stop.
+        nonlocal best, best_mask, nodes
+        if not nodes & _CHECK_MASK:
             _check_deadline(deadline)
-        mask = pos ^ (pos >> 1)
-        if mask == 0:
-            r0 = rank(rows, n)
-            if boolean_mode:
-                cost = 0 if r0 == 0 else r0 + 1
-            else:
-                cost = r0
-            if cost >= best:
-                continue
-        else:
-            work = [rows[i] ^ (((mask >> i) & 1) << i) for i in range(n)]
-            cost = rank_capped(work, n, best)
-            if cost >= best:
-                continue
-        best, best_mask, best_pos = cost, mask, pos
-        if best <= stop_at:
-            break
-    return best, best_mask, best_pos
+        nodes += 1
+        if k == 0:
+            if not mask:
+                return False
+            best, best_mask = r, mask
+            return best <= stop_at
+        k -= 1
+        for d in (parity, parity ^ 1):
+            row = rows[k] ^ (d << k)
+            while row:
+                lead = row.bit_length() - 1
+                if not basis[lead]:
+                    break
+                row ^= basis[lead]
+            if row:
+                if r + 1 < best:
+                    basis[lead] = row
+                    done = descend(k, mask | (d << k), parity ^ d, r + 1)
+                    basis[lead] = 0
+                    if done:
+                        return True
+            elif r < best and descend(k, mask | (d << k), parity ^ d, r):
+                return True
+        return False
+
+    descend(n, 0, 0, 0)
+    return best, best_mask
+
+
+def _boolean_cost_below(rows, n: int, cap: int, stop_at: int, deadline):
+    """``(cost, mask)`` for the least boolean cost below ``cap``, else None.
+
+    The boolean cost of mask 0 is rank + 1 (0 for the zero matrix), because
+    the input has a zero diagonal; any other mask costs its rank.
+    """
+    r0 = rank(rows, n)
+    cost0 = r0 + 1 if r0 else 0
+    cost, mask = diagonal_sweep(rows, n, min(cap, cost0), stop_at, deadline)
+    if mask >= 0:
+        return cost, mask
+    return (cost0, 0) if cost0 < cap else None
 
 
 # ---------------------------------------------------------------------------
@@ -156,23 +137,21 @@ def inversion_search(
     arcs,
     n: int,
     incumbent: int,
-    first_vertex: int = -1,
     probe_depth: int = 0,
     deadline: float | None = None,
 ):
     """Scan target orders for a disagreement graph of cost below ``incumbent``.
 
     Orders are visited lexicographically; for each complete order the
-    disagreement graph (pairs whose arc opposes the order) gets a full
-    boolean-mode diagonal sweep capped at the running best.  A prefix is
+    disagreement graph (pairs whose arc opposes the order) gets its boolean
+    cost from a diagonal search capped at the running best.  A prefix is
     abandoned when a lower bound on any completion already meets the running
-    best: the cheap 0/1/2 bound at every node, plus an exact boolean sweep of
+    best: the cheap 0/1/2 bound at every node, plus the exact boolean cost of
     the prefix subgraph at every depth from ``probe_depth`` on (0 disables the
     probe).
 
-    ``first_vertex`` restricts the scan to orders starting there (-1 = all),
-    which is how workers partition the space.  Returns (best, perm, mask) for
-    the lexicographically first order strictly below ``incumbent``, or None.
+    Returns (best, perm, mask) for the lexicographically first order strictly
+    below ``incumbent``, or None.
     """
     best = incumbent
     best_perm = None
@@ -184,24 +163,18 @@ def inversion_search(
     dis = [0] * n
     perm = []
     used = 0
-    full = 1 << n
 
     def rec(depth):
         nonlocal best, best_perm, best_mask
         if depth == n:
-            cost, mask, _ = diagonal_sweep(
-                dis, n, True, 1, 0, full, deadline, cap=best
-            )
-            if cost < best:
-                best = cost
+            found = _boolean_cost_below(dis, n, best, 1, deadline)
+            if found is not None:
+                best, best_mask = found
                 best_perm = tuple(perm)
-                best_mask = mask
             return best > 1
         for v in range(n):
             bit = 1 << v
             if used & bit:
-                continue
-            if depth == 0 and first_vertex >= 0 and v != first_vertex:
                 continue
             new_edges = arcs[v] & used
             _place(v, new_edges)
@@ -249,12 +222,9 @@ def inversion_search(
                 if (ra >> perm[b]) & 1:
                     row |= 1 << b
             sub.append(row)
-        # Only the comparison against threshold matters, so the sweep may stop
-        # at the first cost below it.
-        got, _, _ = diagonal_sweep(
-            sub, p, True, threshold - 1, 0, 1 << p, deadline, cap=threshold
-        )
-        return got >= threshold
+        # Only the comparison against threshold matters, so the search may
+        # stop at the first cost below it.
+        return _boolean_cost_below(sub, p, threshold, threshold - 1, deadline) is None
 
     rec(0)
     if best_perm is None:

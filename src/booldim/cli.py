@@ -68,13 +68,25 @@ class FileIndexCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"tournament-index-{_digest(key.encode())[:24]}.json"
 
+    def _load(self, key: str) -> int | None:
+        """The stored index, or None when the entry is missing or unreadable."""
+        try:
+            return int(json.loads(self._path(key).read_text())["index"])
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+
     def __contains__(self, key: str) -> bool:
-        return self._path(key).exists()
+        return self._load(key) is not None
 
     def __getitem__(self, key: str) -> int:
-        return int(json.loads(self._path(key).read_text())["index"])
+        value = self._load(key)
+        if value is None:
+            raise KeyError(key)
+        return value
 
     def __setitem__(self, key: str, value: int):
+        # Only misses are stored, so an existing file here is unreadable.
+        self._path(key).unlink(missing_ok=True)
         _write_once(self._path(key), _stable_json({"tournament": key, "index": value}))
 
 
@@ -186,7 +198,7 @@ def _bits(mask: int) -> list[int]:
 def _cmd_graph_dims(args) -> int:
     started = time.perf_counter()
     g, raw = _load_graph(args)
-    report = dims.dimension_report(g, workers=args.workers, budget_s=args.budget)
+    report = dims.dimension_report(g, budget_s=args.budget)
     # Re-validate both witnesses before anything is printed.
     family = report.witness_cliques
     if graphs.realize(family).adj != g.adj:
@@ -222,7 +234,7 @@ def _cmd_graph_dims(args) -> int:
 def _cmd_graph_oracle_check(args) -> int:
     started = time.perf_counter()
     g, raw = _load_graph(args)
-    value, _ = dims.boolean_dim(g, workers=args.workers, budget_s=args.budget)
+    value, _ = dims.boolean_dim(g, budget_s=args.budget)
     oracle = dims.boolean_dim_oracle(g, value)
     agree = oracle == value
     result = {"boolean": value, "oracle": oracle, "agree": agree}
@@ -261,7 +273,7 @@ def _cmd_tree_verify(args) -> int:
     g, raw = _load_graph(args)
     tree = trees.Tree.from_graph(g)
     ind_value, _ = dims.ind_mod2(g)
-    bool_value, _ = dims.boolean_dim(g, workers=args.workers, budget_s=args.budget)
+    bool_value, _ = dims.boolean_dim(g, budget_s=args.budget)
     star_value, _ = trees.m_star(tree)
     equal = ind_value == bool_value == star_value
     result = {
@@ -280,9 +292,7 @@ def _cmd_tree_verify(args) -> int:
 def _cmd_tournament_index(args) -> int:
     started = time.perf_counter()
     t, raw = _load_tournament(args)
-    value, certificate = tournaments.inversion_index(
-        t, workers=args.workers, budget_s=args.budget
-    )
+    value, certificate = tournaments.inversion_index(t, budget_s=args.budget)
     final = tournaments.apply_inversions(t, certificate.subsets)
     if tournaments.is_acyclic(final) != certificate.order:
         raise AssertionError("certificate replay failed")
@@ -302,21 +312,20 @@ def _cmd_tournament_index(args) -> int:
 def _cmd_tournament_table(args) -> int:
     started = time.perf_counter()
     cache = _cache_dir(args)
-    index_cache = FileIndexCache(cache) if cache is not None else {}
-    value = tournaments.max_inversion_table(
-        args.n, workers=args.workers, budget_s=args.budget, index_cache=index_cache
+    table = tournaments.inversion_table(
+        args.n,
+        workers=args.workers,
+        budget_s=args.budget,
+        index_cache=FileIndexCache(cache) if cache is not None else None,
     )
-    reps = tournaments.enumerate_tournaments(args.n)
-    per_class = [
-        {"tournament": rep.to_text(), "index": index_cache[rep.to_text()]}
-        for rep in reps
-    ]
+    value = max(index for _, index in table)
+    per_class = [{"tournament": rep.to_text(), "index": index} for rep, index in table]
     digest = _digest(f"table:{args.n}".encode())
-    result = {"n": args.n, "max_index": value, "classes": len(reps)}
+    result = {"n": args.n, "max_index": value, "classes": len(table)}
     _emit(args, "tournament table", digest, _params(args), result,
           {"indices": per_class}, started)
     if not args.json:
-        print(f"i({args.n}) = {value} over {len(reps)} isomorphism classes")
+        print(f"i({args.n}) = {value} over {len(table)} isomorphism classes")
     return 0
 
 
@@ -363,7 +372,8 @@ def _params(args) -> dict:
 def _add_common(parser):
     parser.add_argument("--json", action="store_true", help="emit a JSON run record")
     parser.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                        help="search parallelism (results are worker-count independent)")
+                        help="processes for the per-class indices of 'tournament table' "
+                             "(other commands run in one process; results do not depend on it)")
     parser.add_argument("--budget", type=float, default=None, metavar="SECONDS",
                         help="hard wall-clock bound for sweeps (exceeding is an error)")
     parser.add_argument("--cache-dir", default=None,

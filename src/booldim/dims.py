@@ -99,65 +99,61 @@ def symplectic_dim(g: Graph) -> int:
     return f2core.rank(adjacency_matrix(g))
 
 
+def _core_sweep(g: Graph, cap: int, budget_s: float | None):
+    """One diagonal search on the isolated-free core (isolated vertices never
+    help), with the core and its vertex mapping back to g."""
+    core_g, core = _isolated_free_core(g)
+    _check_sweep_cap(core_g.n, cap)
+    return core_g, core, f2core.minrank_sweep(adjacency_matrix(core_g), budget_s=budget_s)
+
+
+def _lift_family(core_g: Graph, core: list[int], mask: int, n: int) -> CliqueFamily:
+    family = witness_family(core_g, mask)
+    return CliqueFamily(n, tuple(_lift_mask(c, core) for c in family.members))
+
+
 def geometric_dim(
     g: Graph,
     *,
     cap: int = DEFAULT_SWEEP_CAP,
-    workers: int = 1,
     budget_s: float | None = None,
 ) -> tuple[int, int]:
     """Minimum rank over all 2^n diagonal masks, with an achieving mask.
 
-    The witness is the first mask in Gray-code sweep order attaining the
-    minimum.  Isolated vertices never help, so the sweep runs on the
-    isolated-free core and the mask is lifted back.
+    The witness is the first mask in Gray-code order attaining the minimum.
     """
-    core_g, core = _isolated_free_core(g)
-    if core_g.n == 0:
-        return 0, 0
-    _check_sweep_cap(core_g.n, cap)
-    value, mask = f2core.minrank_sweep(
-        adjacency_matrix(core_g), stop_at=1, workers=workers, budget_s=budget_s
-    )
-    return value, _lift_mask(mask, core)
+    _, core, sweep = _core_sweep(g, cap, budget_s)
+    return sweep.geometric, _lift_mask(sweep.geometric_mask, core)
 
 
 def boolean_dim(
     g: Graph,
     *,
     cap: int = DEFAULT_SWEEP_CAP,
-    workers: int = 1,
     budget_s: float | None = None,
 ) -> tuple[int, CliqueFamily]:
     """Least number of cliques whose XOR is the graph, with a witness family.
 
     Computed as the minimum inner-realizability cost over diagonal masks (see
-    f2core.inner_cost_sweep); the witness family is read off a factorization
+    f2core.minrank_sweep); the witness family is read off a factorization
     of the optimal Gram matrix, one clique per coordinate.
     """
-    core_g, core = _isolated_free_core(g)
-    if core_g.n == 0:
-        return 0, CliqueFamily(g.n, ())
-    _check_sweep_cap(core_g.n, cap)
-    value, mask = f2core.inner_cost_sweep(
-        adjacency_matrix(core_g), stop_at=1, workers=workers, budget_s=budget_s
-    )
-    family = witness_family(core_g, mask)
-    lifted = tuple(_lift_mask(c, core) for c in family.members)
-    return value, CliqueFamily(g.n, lifted)
+    core_g, core, sweep = _core_sweep(g, cap, budget_s)
+    return sweep.boolean, _lift_family(core_g, core, sweep.boolean_mask, g.n)
 
 
 def dimension_report(
     g: Graph,
     *,
     cap: int = DEFAULT_SWEEP_CAP,
-    workers: int = 1,
     budget_s: float | None = None,
 ) -> DimensionReport:
-    """All four dimensions, the trichotomy case, and both witnesses."""
+    """All four dimensions, the trichotomy case, and both witnesses, from one
+    diagonal search."""
     symp = symplectic_dim(g)
-    geo, diag = geometric_dim(g, cap=cap, workers=workers, budget_s=budget_s)
-    boo, cliques = boolean_dim(g, cap=cap, workers=workers, budget_s=budget_s)
+    core_g, core, sweep = _core_sweep(g, cap, budget_s)
+    geo, diag = sweep.geometric, _lift_mask(sweep.geometric_mask, core)
+    boo, cliques = sweep.boolean, _lift_family(core_g, core, sweep.boolean_mask, g.n)
     if geo == boo == symp:
         case = TrichotomyCase.ALL_EQUAL
     elif geo == symp == boo - 1:

@@ -1,17 +1,17 @@
 """Bit-packed symmetric linear algebra over the two-element field.
 
 Matrices are immutable: n bit-rows packed into Python ints (bit j of row i is
-entry (i, j)), capped at n = 64 so a row always fits one machine word in the
-compiled kernels.  This module owns rank computation, diagonal perturbation,
-the Gray-code diagonal sweeps behind the minrank-style searches, and the
-orthonormal/symplectic basis extraction used to build representation
-witnesses.
+entry (i, j)), capped at n = 64.  This module owns rank computation, diagonal
+perturbation, the diagonal-mask search behind the geometric and boolean
+dimensions, and the orthonormal/symplectic basis extraction used to build
+representation witnesses.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._backend import kernels
 from .errors import CapacityError
@@ -106,65 +106,47 @@ def _deadline(budget_s: float | None) -> float | None:
     return None if budget_s is None else time.monotonic() + budget_s
 
 
-def minrank_sweep(
-    m: F2Matrix,
-    *,
-    stop_at: int = 0,
-    workers: int = 1,
-    budget_s: float | None = None,
-) -> tuple[int, DiagonalMask]:
-    """Minimum of rank(m + D) over all 2^n diagonal masks D.
+class Sweep(NamedTuple):
+    """Both diagonal minima of a zero-diagonal matrix, each with its mask."""
 
-    Masks are visited in Gray-code order; the witness is the first mask in
-    that order attaining the minimum, independent of ``workers``.  The scan
-    stops once the running minimum reaches ``stop_at``.
-    """
-    _require_symmetric(m)
-    best, mask, _ = _run_sweep(m, False, stop_at, workers, budget_s)
-    return best, mask
+    geometric: int
+    geometric_mask: DiagonalMask
+    boolean: int
+    boolean_mask: DiagonalMask
 
 
-def inner_cost_sweep(
-    m: F2Matrix,
-    *,
-    stop_at: int = 0,
-    workers: int = 1,
-    budget_s: float | None = None,
-) -> tuple[int, DiagonalMask]:
-    """Minimum inner-realizability cost over all diagonal perturbations.
+def minrank_sweep(m: F2Matrix, *, budget_s: float | None = None) -> Sweep:
+    """Geometric and boolean minima over the diagonal masks, in one search.
 
-    A symmetric Gram matrix with a nonzero diagonal entry of rank r is
-    realizable with the standard scalar product in dimension r; an alternating
-    one (zero diagonal, which for a zero-diagonal input happens exactly at
-    D = 0) of rank 2m > 0 needs 2m + 1 coordinates, since every image vector
-    must sit inside the even-weight hyperplane.  Rank 0 costs 0.
+    The geometric value is the least rank(m + D) over all 2^n masks D.  The
+    boolean (inner-realizability) value is the same minimum except that
+    D = 0 costs rank + 1 (0 for rank 0): a symmetric Gram matrix with a
+    nonzero diagonal entry and rank r is realizable with the standard scalar
+    product in dimension r, while an alternating one of rank 2m > 0 needs
+    2m + 1 coordinates, since every image vector must sit inside the
+    even-weight hyperplane.  With r0 = rank(m) and h the least rank over the
+    nonzero masks, searched with the cap r0 + 1, geometric = min(r0, h) and
+    boolean = min(h, r0 + 1).
+
+    Each witness is the first mask in Gray-code order attaining its minimum;
+    mask 0 is Gray position 0, so it wins ties.
     """
     _require_symmetric(m)
     if not is_alternating(m):
-        raise ValueError("inner cost sweep expects a zero-diagonal matrix")
-    best, mask, _ = _run_sweep(m, True, stop_at, workers, budget_s)
-    return best, mask
+        raise ValueError("diagonal sweep expects a zero-diagonal matrix")
+    r0 = rank(m)
+    if r0 == 0:
+        return Sweep(0, 0, 0, 0)
+    h, mask = kernels.diagonal_sweep(m.rows, m.n, r0 + 1, 0, _deadline(budget_s))
+    geometric = (r0, 0) if r0 <= h else (h, mask)
+    boolean = (h, mask) if h <= r0 else (r0 + 1, 0)
+    return Sweep(*geometric, *boolean)
 
 
-def _run_sweep(m, boolean_mode, stop_at, workers, budget_s):
-    deadline = _deadline(budget_s)
-    total = 1 << m.n
-    if workers <= 1 or total < 4096:
-        return kernels.diagonal_sweep(m.rows, m.n, boolean_mode, stop_at, 0, total, deadline)
-    from ._parallel import run_tasks
-
-    chunk = -(-total // workers)
-    tasks = [
-        (kernels.diagonal_sweep, (m.rows, m.n, boolean_mode, stop_at, lo, min(lo + chunk, total), deadline))
-        for lo in range(0, total, chunk)
-    ]
-    results = run_tasks(tasks, workers)
-    # Deterministic reduction: least cost, then earliest Gray position.
-    best = (m.n + 2, -1, -1)
-    for cost, mask, pos in results:
-        if mask >= 0 and (cost, pos) < (best[0], best[2] if best[2] >= 0 else 1 << m.n):
-            best = (cost, mask, pos)
-    return best
+def inner_cost_sweep(m: F2Matrix, *, budget_s: float | None = None) -> tuple[int, DiagonalMask]:
+    """The boolean half of minrank_sweep: ``(value, mask)``."""
+    sweep = minrank_sweep(m, budget_s=budget_s)
+    return sweep.boolean, sweep.boolean_mask
 
 
 # ---------------------------------------------------------------------------

@@ -195,7 +195,6 @@ def disagreement_graph(t: Tournament, order) -> Graph:
 def inversion_index(
     t: Tournament,
     *,
-    workers: int = 1,
     budget_s: float | None = None,
 ) -> tuple[int, InversionCertificate]:
     """Exact inversion index with a replay-checked certificate.
@@ -204,8 +203,7 @@ def inversion_index(
     graph; the winning order is the lexicographically first one attaining the
     minimum (the identity order seeds the search, so it wins ties), and the
     certificate subsets are the witness cliques of the optimal graph, sized
-    two or more.  Worker partitioning fixes the first order position per task
-    and reduces by (cost, order), so results are scheduling-independent.
+    two or more.
     """
     if t.n > INDEX_VERTEX_CAP:
         raise CapacityError(f"inversion index search capped at {INDEX_VERTEX_CAP} vertices")
@@ -215,26 +213,12 @@ def inversion_index(
     deadline = None if budget_s is None else time.monotonic() + budget_s
     identity = tuple(range(t.n))
     seed_graph = disagreement_graph(t, identity)
-    seed_cost, seed_mask = f2core.inner_cost_sweep(
-        dims.adjacency_matrix(seed_graph), stop_at=1, budget_s=budget_s
-    )
-    best = (seed_cost, identity, seed_mask)
+    seed = f2core.minrank_sweep(dims.adjacency_matrix(seed_graph), budget_s=budget_s)
     probe_depth = t.n - 3 if t.n >= 8 else 0
-    if workers <= 1:
-        found = kernels.inversion_search(
-            t.arcs, t.n, seed_cost, -1, probe_depth, deadline
-        )
-        if found is not None:
-            best = found
-    else:
-        tasks = [
-            (kernels.inversion_search, (t.arcs, t.n, seed_cost, v, probe_depth, deadline))
-            for v in range(t.n)
-        ]
-        for found in run_tasks(tasks, workers):
-            if found is not None and (found[0], found[1]) < (best[0], best[1]):
-                best = found
-    value, order, mask = best
+    found = kernels.inversion_search(t.arcs, t.n, seed.boolean, probe_depth, deadline)
+    if found is None:
+        found = (seed.boolean, identity, seed.boolean_mask)
+    value, order, mask = found
     certificate = _certificate(t, order, mask)
     return value, certificate
 
@@ -415,19 +399,20 @@ def _index_value(arcs: tuple[int, ...], n: int, budget_s: float | None) -> int:
     return value
 
 
-def max_inversion_table(
+def inversion_table(
     n: int,
     *,
     workers: int = 1,
     budget_s: float | None = None,
     index_cache=None,
-) -> int:
-    """Maximum inversion index over all tournaments on n vertices.
+) -> list[tuple[Tournament, int]]:
+    """Inversion index of every tournament on n vertices up to isomorphism.
 
-    Enumerates up to isomorphism and takes the max of per-class indices;
-    ``index_cache`` (any mutable mapping from tournament text to int) lets
-    callers persist per-class results between runs.  For n >= 6 the result is
-    checked against the proven window ceil((n-1)/2 - log2 n) <= i(n) <= n - 4.
+    Returns (canonical representative, index) per class, in enumeration
+    order.  ``index_cache`` (any mutable mapping from tournament text to int)
+    lets callers persist per-class results between runs; classes it lacks are
+    computed by ``workers`` processes.  For n >= 6 the maximum is checked
+    against the proven window ceil((n-1)/2 - log2 n) <= i(n) <= n - 4.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
@@ -452,4 +437,17 @@ def max_inversion_table(
         low = math.ceil((n - 1) / 2 - math.log2(n))
         if not low <= result <= n - 4:
             raise AssertionError(f"i({n}) = {result} escapes the proven window")
-    return result
+    return [(rep, values[pos]) for pos, rep in enumerate(reps)]
+
+
+def max_inversion_table(
+    n: int,
+    *,
+    workers: int = 1,
+    budget_s: float | None = None,
+    index_cache=None,
+) -> int:
+    """Maximum inversion index over all tournaments on n vertices (see
+    inversion_table)."""
+    table = inversion_table(n, workers=workers, budget_s=budget_s, index_cache=index_cache)
+    return max(value for _, value in table)

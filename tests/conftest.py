@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import random
+import time
 
+import pytest
+
+from booldim import _kernels_py
 from booldim.graphs import Graph
 from booldim.tournaments import Tournament
 
@@ -48,3 +52,29 @@ def all_tournaments_labeled(n: int):
             else:
                 arcs[j] |= 1 << i
         yield Tournament(n, tuple(arcs))
+
+
+class JumpingClock:
+    """Stands in for the kernels' clock: real time for the first ``polls``
+    reads, then far past any deadline."""
+
+    def __init__(self, polls: int):
+        self.polls = polls
+        self.reads = 0
+
+    def monotonic(self) -> float:
+        self.reads += 1
+        return time.monotonic() + (1e9 if self.reads > self.polls else 0.0)
+
+
+@pytest.fixture()
+def clock_jump(monkeypatch):
+    """``clock_jump(polls)`` makes the kernels' deadline polls expire after
+    ``polls`` reads, so a budget can run out in the middle of a search."""
+
+    def install(polls: int) -> JumpingClock:
+        clock = JumpingClock(polls)
+        monkeypatch.setattr(_kernels_py, "time", clock)
+        return clock
+
+    return install

@@ -86,6 +86,18 @@ def test_tournament_table_uses_cache(cache_dir, capsys):
     assert len(list(cache_dir.glob("tournament-index-*.json"))) == 4
 
 
+def test_tournament_table_unreadable_cache_entry_is_a_miss(cache_dir, capsys):
+    code, _, _ = run(capsys, "tournament", "table", "--n", "4")
+    assert code == 0
+    entries = sorted(cache_dir.glob("tournament-index-*.json"))
+    entries[0].write_text("{garbage")
+    code, out, _ = run(capsys, "tournament", "table", "--n", "4", "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["max_index"] == 1
+    # The miss was recomputed and stored over the unreadable entry.
+    assert json.loads(entries[0].read_text())["index"] in (0, 1)
+
+
 def test_tournament_embeds(cache_dir, capsys):
     code, out, _ = run(
         capsys, "tournament", "embeds", "--pattern", "cn:7", "--target", "cn:8"
@@ -145,6 +157,17 @@ def test_budget_exhaustion_exit_3(tmp_path, cache_dir, capsys):
     g6.write_text(write_graph6(ortho_graph_H(4)))
     code, _, err = run(
         capsys, "graph", "dims", "--graph6", str(g6), "--budget", "1e-9"
+    )
+    assert code == 3
+    assert "budget" in err
+
+
+def test_budget_expires_mid_search_exit_3(tmp_path, cache_dir, capsys, clock_jump):
+    g6 = tmp_path / "p16.g6"
+    g6.write_text(write_graph6(path_graph(16)))
+    clock_jump(3)
+    code, _, err = run(
+        capsys, "graph", "dims", "--graph6", str(g6), "--budget", "3600"
     )
     assert code == 3
     assert "budget" in err

@@ -270,20 +270,21 @@ def test_vertex_exponentiation_changes_dim_by_at_most_one():
         assert abs(boolean_dim(g)[0] - boolean_dim(gx)[0]) <= 1
 
 
-def test_parallel_sweep_matches_serial():
-    # 12 vertices crosses the chunking threshold, so workers actually engage.
-    rng = random.Random(8)
-    for _ in range(3):
-        g = random_graph(rng, 12)
-        assert geometric_dim(g) == geometric_dim(g, workers=3)
-        assert boolean_dim(g) == boolean_dim(g, workers=3)
-
-
 def test_budget_exceeded_raises():
     from booldim.errors import BudgetExceededError
 
     with pytest.raises(BudgetExceededError):
         boolean_dim(ortho_graph_H(4), budget_s=1e-9)
+
+
+def test_budget_expires_mid_search(clock_jump):
+    from booldim.errors import BudgetExceededError
+
+    # A 16-vertex path visits about 33k search nodes, 32 deadline polls.
+    clock = clock_jump(3)
+    with pytest.raises(BudgetExceededError):
+        dimension_report(path_graph(16), budget_s=3600)
+    assert clock.reads == 4
 
 
 def test_realized_family_dim_at_most_family_size():

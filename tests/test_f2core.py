@@ -8,6 +8,7 @@ from itertools import combinations, permutations
 import pytest
 
 from booldim import f2core
+from booldim._backend import kernels
 from booldim.errors import CapacityError
 from booldim.f2core import F2Matrix, add_diagonal, is_alternating, rank
 from conftest import random_symmetric_rows
@@ -154,6 +155,15 @@ def test_capacity_cap():
         F2Matrix(65, (0,) * 65)
 
 
+def gray_position(mask: int) -> int:
+    """Inverse of pos -> pos ^ (pos >> 1)."""
+    pos = 0
+    while mask:
+        pos ^= mask
+        mask >>= 1
+    return pos
+
+
 class TestSweeps:
     def test_minrank_matches_naive(self):
         rng = random.Random(21)
@@ -163,23 +173,23 @@ class TestSweeps:
             naive = min(
                 rank(add_diagonal(m, mask)) for mask in range(1 << n)
             ) if n else 0
-            value, witness = f2core.minrank_sweep(m)
-            assert value == (naive if n else 0)
-            assert rank(add_diagonal(m, witness)) == value
+            sweep = f2core.minrank_sweep(m)
+            assert sweep.geometric == (naive if n else 0)
+            assert rank(add_diagonal(m, sweep.geometric_mask)) == sweep.geometric
 
     def test_witness_is_first_in_gray_order(self):
         rng = random.Random(22)
         for _ in range(40):
             n = rng.randint(1, 6)
             m = F2Matrix(n, random_symmetric_rows(rng, n))
-            value, witness = f2core.minrank_sweep(m)
+            sweep = f2core.minrank_sweep(m)
             for pos in range(1 << n):
                 mask = pos ^ (pos >> 1)
                 got = rank(add_diagonal(m, mask))
-                if got == value:
-                    assert mask == witness
+                if got == sweep.geometric:
+                    assert mask == sweep.geometric_mask
                     break
-                assert got > value
+                assert got > sweep.geometric
 
     def test_inner_cost_matches_naive(self):
         rng = random.Random(23)
@@ -193,8 +203,53 @@ class TestSweeps:
                     costs.append(0 if r == 0 else r + 1)
                 else:
                     costs.append(r)
-            value, _ = f2core.inner_cost_sweep(m)
-            assert value == min(costs)
+            sweep = f2core.minrank_sweep(m)
+            assert sweep.boolean == min(costs)
+            assert f2core.inner_cost_sweep(m) == (sweep.boolean, sweep.boolean_mask)
+
+    def test_sweep_matches_gray_order_naive(self):
+        # The one-pass boolean value and witness must equal a literal
+        # Gray-order scan with full recompute.
+        rng = random.Random(104)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            rows = random_symmetric_rows(rng, n)
+            best, best_mask, best_pos = None, None, None
+            for pos in range(1 << n):
+                mask = pos ^ (pos >> 1)
+                work = tuple(rows[i] ^ (((mask >> i) & 1) << i) for i in range(n))
+                r = kernels.rank(work, n)
+                cost = (0 if r == 0 else r + 1) if mask == 0 else r
+                if best is None or cost < best:
+                    best, best_mask, best_pos = cost, mask, pos
+            sweep = f2core.minrank_sweep(F2Matrix(n, rows))
+            assert (sweep.boolean, sweep.boolean_mask, gray_position(sweep.boolean_mask)) == (
+                best, best_mask, best_pos,
+            )
+
+    def test_kernel_cap_and_stop_at_match_naive_scan(self):
+        # The kernel alone: nonzero masks only, costs below cap, and the scan
+        # ends at the first running best at or below stop_at.
+        rng = random.Random(105)
+        for _ in range(300):
+            n = rng.randint(0, 8)
+            rows = random_symmetric_rows(rng, n, zero_diagonal=rng.random() < 0.5)
+            cap = rng.randint(0, n + 1)
+            stop_at = rng.randint(0, 3)
+            best, best_mask = cap, -1
+            for pos in range(1, 1 << n):
+                mask = pos ^ (pos >> 1)
+                work = tuple(rows[i] ^ (((mask >> i) & 1) << i) for i in range(n))
+                r = kernels.rank(work, n)
+                if r < best:
+                    best, best_mask = r, mask
+                    if best <= stop_at:
+                        break
+            assert kernels.diagonal_sweep(rows, n, cap, stop_at) == (best, best_mask)
+
+    def test_rejects_nonzero_diagonal(self):
+        with pytest.raises(ValueError):
+            f2core.minrank_sweep(F2Matrix.identity(2))
 
 
 class TestBases:

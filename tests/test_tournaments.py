@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from booldim.errors import CapacityError, FormatError
+from booldim.errors import BudgetExceededError, CapacityError, FormatError
 from booldim.graphs import realize, CliqueFamily
 from booldim.tournaments import (
     Tournament,
@@ -133,11 +133,13 @@ class TestInversionIndex:
         with pytest.raises(CapacityError):
             inversion_index(Tournament.acyclic(10))
 
-    def test_workers_do_not_change_result(self):
-        rng = random.Random(5)
-        for _ in range(6):
-            t = random_tournament(rng, 6)
-            assert inversion_index(t) == inversion_index(t, workers=3)
+    def test_budget_expires_mid_search(self, clock_jump):
+        # Every diagonal search polls the deadline at its first node, and the
+        # order search runs hundreds of them.
+        clock = clock_jump(50)
+        with pytest.raises(BudgetExceededError):
+            inversion_index(gen_strong_path(7), budget_s=3600)
+        assert clock.reads == 51
 
 
 class TestOracle:
