@@ -3,8 +3,10 @@
 One verb per artifact: graph dims / graph oracle-check, tree mstar / tree
 verify, tournament index / table / embeds, and generate for the built-in
 families.  Reports are human-readable by default and a stable JSON record
-with --json; every run also lands in an append-only cache directory keyed by
-input digest, which lets the tournament table reuse per-class indices.
+with --json.  Commands only parse, call the library and print: each witness
+is checked by the library function that builds it.  The tournament table
+keeps its per-class indices in a write-once cache directory, keyed by the
+tournament and the booldim version; no other command touches it.
 
 Exit codes: 0 success, 2 malformed input, 3 capacity or budget exceeded.
 """
@@ -19,7 +21,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, dims, f2core, graphs, tournaments, trees
+from . import __version__, dims, graphs, tournaments, trees
 from .errors import BudgetExceededError, CapacityError
 
 CACHE_ENV = "BOOLDIM_CACHE_DIR"
@@ -39,9 +41,9 @@ def _digest(data: bytes) -> str:
 
 
 def _cache_dir(args) -> Path | None:
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return None
-    raw = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV)
+    raw = args.cache_dir or os.environ.get(CACHE_ENV)
     path = Path(raw) if raw else Path.home() / ".cache" / "booldim"
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -60,13 +62,18 @@ def _write_once(path: Path, text: str):
 
 
 class FileIndexCache:
-    """Per-tournament inversion indices persisted as write-once JSON files."""
+    """Per-tournament inversion indices persisted as write-once JSON files.
+
+    Entries are keyed on the booldim version as well as the tournament text,
+    so an index computed by another build is a miss.
+    """
 
     def __init__(self, directory: Path):
         self.directory = directory
 
     def _path(self, key: str) -> Path:
-        return self.directory / f"tournament-index-{_digest(key.encode())[:24]}.json"
+        digest = _digest(f"{__version__}\n{key}".encode())[:24]
+        return self.directory / f"tournament-index-{digest}.json"
 
     def _load(self, key: str) -> int | None:
         """The stored index, or None when the entry is missing or unreadable."""
@@ -166,7 +173,7 @@ def _tournament_spec(spec: str) -> tuple[tournaments.Tournament, bytes]:
 # ---------------------------------------------------------------------------
 
 
-def _emit(args, command: str, digest: str, params: dict, result, witness, started: float) -> dict:
+def _emit(args, command: str, digest: str, params: dict, result, witness, started: float):
     record = {
         "command": command,
         "input_digest": digest,
@@ -176,14 +183,8 @@ def _emit(args, command: str, digest: str, params: dict, result, witness, starte
         "elapsed_ms": round(1000 * (time.perf_counter() - started), 3),
         "version": __version__,
     }
-    cache = _cache_dir(args)
-    if cache is not None:
-        key = _digest(f"{command}\n{digest}\n{_stable_json(params)}".encode())[:24]
-        slug = command.replace(" ", "-")
-        _write_once(cache / f"{slug}-{key}.json", _stable_json(record))
     if args.json:
         print(_stable_json(record))
-    return record
 
 
 def _bits(mask: int) -> list[int]:
@@ -199,15 +200,6 @@ def _cmd_graph_dims(args) -> int:
     started = time.perf_counter()
     g, raw = _load_graph(args)
     report = dims.dimension_report(g, budget_s=args.budget)
-    # Re-validate both witnesses before anything is printed.
-    family = report.witness_cliques
-    if graphs.realize(family).adj != g.adj:
-        raise AssertionError("clique witness does not realize the input graph")
-    if not graphs.validate_representation(g, family.vertex_map()):
-        raise AssertionError("clique witness fails representation validation")
-    perturbed = f2core.add_diagonal(dims.adjacency_matrix(g), report.witness_diagonal)
-    if f2core.rank(perturbed) != report.geometric:
-        raise AssertionError("diagonal witness does not attain the geometric minimum")
     result = {
         "boolean": report.boolean,
         "geometric": report.geometric,
@@ -217,7 +209,7 @@ def _cmd_graph_dims(args) -> int:
     }
     witness = {
         "diagonal": _bits(report.witness_diagonal),
-        "cliques": family.as_sets(),
+        "cliques": report.witness_cliques.as_sets(),
     }
     _emit(args, "graph dims", _digest(raw), _params(args), result, witness, started)
     if not args.json:
@@ -249,10 +241,6 @@ def _cmd_tree_mstar(args) -> int:
     g, raw = _load_graph(args)
     tree = trees.Tree.from_graph(g)
     value, decomposition = trees.m_star(tree)
-    decomposition.validate_for(tree)
-    family = trees.decomposition_to_cliques(tree, decomposition)
-    if graphs.realize(family).adj != g.adj:
-        raise AssertionError("decomposition cliques do not realize the tree")
     result = {"m": value}
     witness = {
         "stars": [
@@ -293,9 +281,6 @@ def _cmd_tournament_index(args) -> int:
     started = time.perf_counter()
     t, raw = _load_tournament(args)
     value, certificate = tournaments.inversion_index(t, budget_s=args.budget)
-    final = tournaments.apply_inversions(t, certificate.subsets)
-    if tournaments.is_acyclic(final) != certificate.order:
-        raise AssertionError("certificate replay failed")
     result = {"index": value}
     witness = {
         "subsets": [_bits(s) for s in certificate.subsets],
@@ -314,7 +299,6 @@ def _cmd_tournament_table(args) -> int:
     cache = _cache_dir(args)
     table = tournaments.inversion_table(
         args.n,
-        workers=args.workers,
         budget_s=args.budget,
         index_cache=FileIndexCache(cache) if cache is not None else None,
     )
@@ -356,7 +340,7 @@ def _cmd_generate(args) -> int:
 
 
 def _params(args) -> dict:
-    skip = {"func", "json", "cache_dir", "no_cache"}
+    skip = {"func", "json", "cache_dir", "no_cache", "workers"}
     return {
         k: v
         for k, v in sorted(vars(args).items())
@@ -371,14 +355,15 @@ def _params(args) -> dict:
 
 def _add_common(parser):
     parser.add_argument("--json", action="store_true", help="emit a JSON run record")
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                        help="processes for the per-class indices of 'tournament table' "
-                             "(other commands run in one process; results do not depend on it)")
+    # Accepted for old command lines and ignored: every command runs in one process.
+    parser.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--budget", type=float, default=None, metavar="SECONDS",
                         help="hard wall-clock bound for sweeps (exceeding is an error)")
     parser.add_argument("--cache-dir", default=None,
-                        help=f"run-record cache directory (default ${CACHE_ENV} or ~/.cache/booldim)")
-    parser.add_argument("--no-cache", action="store_true", help="skip the run-record cache")
+                        help="per-class index cache of 'tournament table' "
+                             f"(default ${CACHE_ENV} or ~/.cache/booldim)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="compute every class of 'tournament table' afresh")
 
 
 def _add_graph_input(parser):

@@ -5,7 +5,8 @@ diagonal perturbations; boolean (= inner) = minimum inner-realizability cost
 over the same perturbations, where an alternating optimum pays one extra
 coordinate.  Every numeric answer ships with a checkable certificate: a
 diagonal mask attaining the geometric minimum, and a clique family of size
-equal to the boolean dimension whose XOR realizes the graph.
+equal to the boolean dimension whose XOR realizes the graph.  Both are
+checked before they are returned.
 
 boolean_dim_oracle is the independent cross-check: direct exhaustive search
 over clique families, trusted only because it never shares code with the rank
@@ -21,10 +22,11 @@ from itertools import combinations
 from . import f2core
 from .errors import CapacityError
 from .f2core import F2Matrix
-from .graphs import CliqueFamily, Graph
+from .graphs import CliqueFamily, Graph, realize, validate_representation
 
-#: Exhaustive 2^n diagonal sweeps stay tractable well past desk scale, but cap
-#: them so a stray huge input fails fast instead of running for days.
+#: The pruned diagonal search still grows exponentially on its worst inputs (a
+#: 16-vertex path takes about 33k nodes), so cap it: a stray huge input fails
+#: fast instead of running for days.
 DEFAULT_SWEEP_CAP = 26
 
 IND_SEARCH_CAP = 16
@@ -107,9 +109,26 @@ def _core_sweep(g: Graph, cap: int, budget_s: float | None):
     return core_g, core, f2core.minrank_sweep(adjacency_matrix(core_g), budget_s=budget_s)
 
 
-def _lift_family(core_g: Graph, core: list[int], mask: int, n: int) -> CliqueFamily:
-    family = witness_family(core_g, mask)
-    return CliqueFamily(n, tuple(_lift_mask(c, core) for c in family.members))
+def _geometric_witness(g: Graph, core: list[int], sweep: f2core.Sweep) -> int:
+    """The geometric mask lifted to g, its rank replayed against the value."""
+    mask = _lift_mask(sweep.geometric_mask, core)
+    if f2core.rank(f2core.add_diagonal(adjacency_matrix(g), mask)) != sweep.geometric:
+        raise AssertionError("diagonal witness does not attain the geometric minimum")
+    return mask
+
+
+def _boolean_witness(g: Graph, core_g: Graph, core: list[int], sweep: f2core.Sweep) -> CliqueFamily:
+    """The boolean clique family lifted to g, checked to have the boolean
+    value as its size and to realize g."""
+    family = witness_family(core_g, sweep.boolean_mask)
+    family = CliqueFamily(g.n, tuple(_lift_mask(c, core) for c in family.members))
+    if len(family) != sweep.boolean:
+        raise AssertionError("clique witness size differs from the boolean dimension")
+    if realize(family).adj != g.adj:
+        raise AssertionError("clique witness does not realize the graph")
+    if not validate_representation(g, family.vertex_map()):
+        raise AssertionError("clique witness fails representation validation")
+    return family
 
 
 def geometric_dim(
@@ -123,7 +142,7 @@ def geometric_dim(
     The witness is the first mask in Gray-code order attaining the minimum.
     """
     _, core, sweep = _core_sweep(g, cap, budget_s)
-    return sweep.geometric, _lift_mask(sweep.geometric_mask, core)
+    return sweep.geometric, _geometric_witness(g, core, sweep)
 
 
 def boolean_dim(
@@ -139,7 +158,7 @@ def boolean_dim(
     of the optimal Gram matrix, one clique per coordinate.
     """
     core_g, core, sweep = _core_sweep(g, cap, budget_s)
-    return sweep.boolean, _lift_family(core_g, core, sweep.boolean_mask, g.n)
+    return sweep.boolean, _boolean_witness(g, core_g, core, sweep)
 
 
 def dimension_report(
@@ -149,11 +168,11 @@ def dimension_report(
     budget_s: float | None = None,
 ) -> DimensionReport:
     """All four dimensions, the trichotomy case, and both witnesses, from one
-    diagonal search."""
+    diagonal search.  Both witnesses are checked before they are returned."""
     symp = symplectic_dim(g)
     core_g, core, sweep = _core_sweep(g, cap, budget_s)
-    geo, diag = sweep.geometric, _lift_mask(sweep.geometric_mask, core)
-    boo, cliques = sweep.boolean, _lift_family(core_g, core, sweep.boolean_mask, g.n)
+    geo, diag = sweep.geometric, _geometric_witness(g, core, sweep)
+    boo, cliques = sweep.boolean, _boolean_witness(g, core_g, core, sweep)
     if geo == boo == symp:
         case = TrichotomyCase.ALL_EQUAL
     elif geo == symp == boo - 1:

@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
-from . import dims, f2core
+from . import dims
 from ._backend import kernels
 from ._parallel import run_tasks
 from .errors import CapacityError, FormatError
@@ -120,9 +121,6 @@ class InversionCertificate:
     subsets: tuple[int, ...]
     order: tuple[int, ...]
 
-    def subsets_as_lists(self) -> list[list[int]]:
-        return [[v for v in range(max(self.order, default=-1) + 1) if (s >> v) & 1] for s in self.subsets]
-
 
 # ---------------------------------------------------------------------------
 # Inversions
@@ -201,9 +199,8 @@ def inversion_index(
 
     Minimum over all target orders of the boolean cost of the disagreement
     graph; the winning order is the lexicographically first one attaining the
-    minimum (the identity order seeds the search, so it wins ties), and the
-    certificate subsets are the witness cliques of the optimal graph, sized
-    two or more.
+    minimum, and the certificate subsets are the witness cliques of the
+    optimal graph, sized two or more.
     """
     if t.n > INDEX_VERTEX_CAP:
         raise CapacityError(f"inversion index search capped at {INDEX_VERTEX_CAP} vertices")
@@ -211,14 +208,10 @@ def inversion_index(
     if order is not None:
         return 0, InversionCertificate((), order)
     deadline = None if budget_s is None else time.monotonic() + budget_s
-    identity = tuple(range(t.n))
-    seed_graph = disagreement_graph(t, identity)
-    seed = f2core.minrank_sweep(dims.adjacency_matrix(seed_graph), budget_s=budget_s)
     probe_depth = t.n - 3 if t.n >= 8 else 0
-    found = kernels.inversion_search(t.arcs, t.n, seed.boolean, probe_depth, deadline)
-    if found is None:
-        found = (seed.boolean, identity, seed.boolean_mask)
-    value, order, mask = found
+    # Every order costs at most n, so with the incumbent n + 1 nothing is cut
+    # before the first leaf, the identity order, which then sets the bound.
+    value, order, mask = kernels.inversion_search(t.arcs, t.n, t.n + 1, probe_depth, deadline)
     certificate = _certificate(t, order, mask)
     return value, certificate
 
@@ -394,15 +387,9 @@ def enumerate_tournaments(n: int) -> list[Tournament]:
     return [Tournament(n, arcs) for arcs in reps]
 
 
-def _index_value(arcs: tuple[int, ...], n: int, budget_s: float | None) -> int:
-    value, _ = inversion_index(Tournament(n, arcs), budget_s=budget_s)
-    return value
-
-
 def inversion_table(
     n: int,
     *,
-    workers: int = 1,
     budget_s: float | None = None,
     index_cache=None,
 ) -> list[tuple[Tournament, int]]:
@@ -411,7 +398,7 @@ def inversion_table(
     Returns (canonical representative, index) per class, in enumeration
     order.  ``index_cache`` (any mutable mapping from tournament text to int)
     lets callers persist per-class results between runs; classes it lacks are
-    computed by ``workers`` processes.  For n >= 6 the maximum is checked
+    computed here, in enumeration order.  For n >= 6 the maximum is checked
     against the proven window ceil((n-1)/2 - log2 n) <= i(n) <= n - 4.
     """
     if n < 1:
@@ -427,8 +414,8 @@ def inversion_table(
             values[pos] = int(index_cache[key])
         else:
             missing.append(pos)
-    tasks = [(_index_value, (reps[pos].arcs, n, budget_s)) for pos in missing]
-    for pos, value in zip(missing, run_tasks(tasks, workers)):
+    tasks = [partial(inversion_index, reps[pos], budget_s=budget_s) for pos in missing]
+    for pos, (value, _) in zip(missing, run_tasks(tasks)):
         values[pos] = value
         if index_cache is not None:
             index_cache[reps[pos].to_text()] = value
@@ -443,11 +430,10 @@ def inversion_table(
 def max_inversion_table(
     n: int,
     *,
-    workers: int = 1,
     budget_s: float | None = None,
     index_cache=None,
 ) -> int:
     """Maximum inversion index over all tournaments on n vertices (see
     inversion_table)."""
-    table = inversion_table(n, workers=workers, budget_s=budget_s, index_cache=index_cache)
+    table = inversion_table(n, budget_s=budget_s, index_cache=index_cache)
     return max(value for _, value in table)

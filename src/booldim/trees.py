@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotATreeError
-from .graphs import CliqueFamily, Graph, path_graph
+from .graphs import CliqueFamily, Graph, path_graph, realize
 
 
 @dataclass(frozen=True)
@@ -226,9 +226,22 @@ def _m_star_rec(adj) -> tuple[int, list[Star]]:
 
 
 def m_star(tree: Tree) -> tuple[int, StarDecomposition]:
-    """Minimum decomposition cost with an optimal witness."""
+    """Minimum decomposition cost with an optimal witness.
+
+    The witness is checked before it is returned: its stars partition the
+    tree's edges, its clique family realizes the tree, and its cost is the
+    value.
+    """
     value, stars = _m_star_rec(_adj_dict(tree))
     decomposition = StarDecomposition(tuple(stars))
+    try:
+        family = decomposition_to_cliques(tree, decomposition)
+    except ValueError as exc:
+        raise AssertionError(f"star decomposition witness is invalid: {exc}") from None
+    if realize(family).adj != tree.graph.adj:
+        raise AssertionError("decomposition cliques do not realize the tree")
+    if decomposition.value != value:
+        raise AssertionError("star decomposition cost differs from the value")
     return value, decomposition
 
 

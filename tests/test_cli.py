@@ -98,6 +98,53 @@ def test_tournament_table_unreadable_cache_entry_is_a_miss(cache_dir, capsys):
     assert json.loads(entries[0].read_text())["index"] in (0, 1)
 
 
+def test_tournament_table_cache_keyed_on_version(cache_dir, capsys, monkeypatch):
+    with monkeypatch.context() as other_build:
+        other_build.setattr(cli, "__version__", "0.0.0-other")
+        code, _, _ = run(capsys, "tournament", "table", "--n", "4")
+    assert code == 0
+    stale = sorted(cache_dir.glob("tournament-index-*.json"))
+    assert len(stale) == 4
+    for entry in stale:
+        entry.write_text(json.dumps({**json.loads(entry.read_text()), "index": 7}))
+    code, out, _ = run(capsys, "tournament", "table", "--n", "4", "--json")
+    assert code == 0
+    # The other build's entries are misses: recomputed and stored alongside.
+    assert json.loads(out)["result"]["max_index"] == 1
+    assert len(list(cache_dir.glob("tournament-index-*.json"))) == 8
+
+
+def test_tournament_table_ignores_workers(capsys):
+    records = []
+    for workers in ("1", "2"):
+        code, out, _ = run(capsys, "tournament", "table", "--n", "4", "--json",
+                           "--no-cache", "--workers", workers)
+        assert code == 0
+        record = json.loads(out)
+        record.pop("elapsed_ms")
+        records.append(record)
+    assert records[0] == records[1]
+    assert "workers" not in records[0]["params"]
+
+
+def test_only_the_table_uses_the_cache(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    g6 = tmp_path / "p6.g6"
+    g6.write_text(write_graph6(path_graph(6)))
+    commands = [
+        ["graph", "dims", "--graph6", str(g6)],
+        ["graph", "oracle-check", "--graph6", str(g6)],
+        ["tree", "mstar", "--graph6", str(g6)],
+        ["tree", "verify", "--graph6", str(g6)],
+        ["tournament", "index", "--family", "c3sum", "--n", "2"],
+        ["tournament", "embeds", "--pattern", "cn:5", "--target", "cn:6"],
+    ]
+    for argv in commands:
+        code, _, _ = run(capsys, *argv, "--json", "--cache-dir", str(cache))
+        assert code == 0, argv
+    assert not cache.exists() or not any(cache.iterdir())
+
+
 def test_tournament_embeds(cache_dir, capsys):
     code, out, _ = run(
         capsys, "tournament", "embeds", "--pattern", "cn:7", "--target", "cn:8"

@@ -163,6 +163,28 @@ class TestDimensionReport:
         rep = dimension_report(Graph.empty(2))
         assert rep.trichotomy_case is TrichotomyCase.ALL_EQUAL
 
+    def test_planted_wrong_clique_witness_raises(self, monkeypatch):
+        build = dims.witness_family
+
+        def drop_one(g, mask):
+            family = build(g, mask)
+            return type(family)(family.n, family.members[1:])
+
+        monkeypatch.setattr(dims, "witness_family", drop_one)
+        with pytest.raises(AssertionError):
+            dimension_report(ortho_graph(3))
+
+    def test_planted_wrong_diagonal_witness_raises(self, monkeypatch):
+        sweep = f2core.minrank_sweep
+
+        def flip_bit_0(m, **kwargs):
+            found = sweep(m, **kwargs)
+            return found._replace(geometric_mask=found.geometric_mask ^ 1)
+
+        monkeypatch.setattr(f2core, "minrank_sweep", flip_bit_0)
+        with pytest.raises(AssertionError):
+            dimension_report(complete_graph(5))
+
 
 class TestIndependence:
     def test_path_prefix(self):

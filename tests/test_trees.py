@@ -8,6 +8,7 @@ from itertools import product
 import networkx as nx
 import pytest
 
+from booldim import trees
 from booldim.dims import boolean_dim, ind_mod2
 from booldim.errors import NotATreeError
 from booldim.graphs import Graph, cycle_graph, realize
@@ -109,6 +110,17 @@ class TestMStar:
                 decomposition.validate_for(tree)
                 assert decomposition.value == value
                 assert value == exhaustive_m(tree)
+
+    def test_planted_wrong_witness_raises(self, monkeypatch):
+        recurse = trees._m_star_rec
+
+        def drop_one(adj):
+            value, stars = recurse(adj)
+            return value, stars[1:]
+
+        monkeypatch.setattr(trees, "_m_star_rec", drop_one)
+        with pytest.raises(AssertionError):
+            m_star(spider())
 
     def test_isomorphism_invariance(self):
         rng = random.Random(0)
