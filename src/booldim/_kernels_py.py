@@ -49,8 +49,9 @@ def diagonal_sweep(rows, n: int, cap: int, stop_at: int = 0, deadline: float | N
     for every leaf below, so a subtree is cut once it reaches the best cost
     found.  The search stops once the best cost is at most ``stop_at``.
 
-    Mask 0 is Gray position 0, and its cost depends on what the caller is
-    computing, so the caller prices it.  Returns ``(best, mask)``, or
+    Mask 0 (Gray position 0) is skipped: the least rank over the nonzero
+    masks is the boolean cost, and a caller that wants the geometric one
+    compares it with rank(A) itself.  Returns ``(best, mask)``, or
     ``(cap, -1)`` when no nonzero mask costs less than ``cap``.
     """
     best = cap
@@ -91,20 +92,6 @@ def diagonal_sweep(rows, n: int, cap: int, stop_at: int = 0, deadline: float | N
 
     descend(n, 0, 0, 0)
     return best, best_mask
-
-
-def _boolean_cost_below(rows, n: int, cap: int, stop_at: int, deadline):
-    """``(cost, mask)`` for the least boolean cost below ``cap``, else None.
-
-    The boolean cost of mask 0 is rank + 1 (0 for the zero matrix), because
-    the input has a zero diagonal; any other mask costs its rank.
-    """
-    r0 = rank(rows, n)
-    cost0 = r0 + 1 if r0 else 0
-    cost, mask = diagonal_sweep(rows, n, min(cap, cost0), stop_at, deadline)
-    if mask >= 0:
-        return cost, mask
-    return (cost0, 0) if cost0 < cap else None
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +154,9 @@ def inversion_search(
     def rec(depth):
         nonlocal best, best_perm, best_mask
         if depth == n:
-            found = _boolean_cost_below(dis, n, best, 1, deadline)
-            if found is not None:
-                best, best_mask = found
+            cost, mask = diagonal_sweep(dis, n, best, 1, deadline)
+            if mask >= 0:
+                best, best_mask = cost, mask
                 best_perm = tuple(perm)
             return best > 1
         for v in range(n):
@@ -224,7 +211,7 @@ def inversion_search(
             sub.append(row)
         # Only the comparison against threshold matters, so the search may
         # stop at the first cost below it.
-        return _boolean_cost_below(sub, p, threshold, threshold - 1, deadline) is None
+        return diagonal_sweep(sub, p, threshold, threshold - 1, deadline)[1] < 0
 
     rec(0)
     if best_perm is None:

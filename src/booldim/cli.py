@@ -187,10 +187,6 @@ def _emit(args, command: str, digest: str, params: dict, result, witness, starte
         print(_stable_json(record))
 
 
-def _bits(mask: int) -> list[int]:
-    return [v for v in range(mask.bit_length()) if (mask >> v) & 1]
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -208,7 +204,7 @@ def _cmd_graph_dims(args) -> int:
         "trichotomy": report.trichotomy_case.value,
     }
     witness = {
-        "diagonal": _bits(report.witness_diagonal),
+        "diagonal": graphs.set_bits(report.witness_diagonal),
         "cliques": report.witness_cliques.as_sets(),
     }
     _emit(args, "graph dims", _digest(raw), _params(args), result, witness, started)
@@ -283,7 +279,7 @@ def _cmd_tournament_index(args) -> int:
     value, certificate = tournaments.inversion_index(t, budget_s=args.budget)
     result = {"index": value}
     witness = {
-        "subsets": [_bits(s) for s in certificate.subsets],
+        "subsets": [graphs.set_bits(s) for s in certificate.subsets],
         "order": list(certificate.order),
     }
     _emit(args, "tournament index", _digest(raw), _params(args), result, witness, started)

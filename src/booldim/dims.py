@@ -1,12 +1,11 @@
 """The four GF(2) dimension invariants of a finite graph.
 
 symplectic = rank of the adjacency matrix; geometric = minimum rank over all
-diagonal perturbations; boolean (= inner) = minimum inner-realizability cost
-over the same perturbations, where an alternating optimum pays one extra
-coordinate.  Every numeric answer ships with a checkable certificate: a
-diagonal mask attaining the geometric minimum, and a clique family of size
-equal to the boolean dimension whose XOR realizes the graph.  Both are
-checked before they are returned.
+diagonal perturbations; boolean (= inner) = minimum rank over the nonzero
+diagonal perturbations (0 for a graph without edges).  Every numeric answer
+ships with a checkable certificate: a diagonal mask attaining the geometric
+minimum, and a clique family of size equal to the boolean dimension whose
+XOR realizes the graph.  Both are checked before they are returned.
 
 boolean_dim_oracle is the independent cross-check: direct exhaustive search
 over clique families, trusted only because it never shares code with the rank
@@ -153,9 +152,9 @@ def boolean_dim(
 ) -> tuple[int, CliqueFamily]:
     """Least number of cliques whose XOR is the graph, with a witness family.
 
-    Computed as the minimum inner-realizability cost over diagonal masks (see
-    f2core.minrank_sweep); the witness family is read off a factorization
-    of the optimal Gram matrix, one clique per coordinate.
+    Computed as the least rank over the nonzero diagonal masks (see
+    f2core.minrank_sweep); the witness family is read off an orthonormal
+    factorization of the optimal Gram matrix, one clique per coordinate.
     """
     core_g, core, sweep = _core_sweep(g, cap, budget_s)
     return sweep.boolean, _boolean_witness(g, core_g, core, sweep)
@@ -200,54 +199,19 @@ def dimension_report(
 def witness_family(g: Graph, mask: int) -> CliqueFamily:
     """Clique family realizing g, read off the Gram matrix A + mask.
 
-    Non-alternating case (mask != 0): vectors f(v) are coordinates against an
-    orthonormal basis, giving rank-many cliques C_k = {v : f(v)_k = 1}.
-    Alternating case (mask = 0, rank 2m > 0): coordinates against a hyperbolic
-    pair basis are re-expressed in an even-weight symplectic basis of a
-    (2m+1)-dimensional scalar-product space, giving 2m + 1 cliques.
+    The mask must be nonzero unless g has no edges, so that A + mask is not
+    alternating.  The vectors f(v) are coordinates against an orthonormal
+    basis, giving rank-many cliques C_k = {v : f(v)_k = 1}.
     """
     m = f2core.add_diagonal(adjacency_matrix(g), mask)
-    n = g.n
-    if mask != 0:
-        basis = f2core.orthonormal_basis(m)
-        cliques = [0] * len(basis)
-        for v in range(n):
-            ev = 1 << v
-            for k, u in enumerate(basis):
-                if f2core.form_value(m, ev, u):
-                    cliques[k] |= ev
-        return CliqueFamily(n, tuple(cliques))
-    pairs = f2core.symplectic_pairs(m)
-    if not pairs:
-        return CliqueFamily(n, ())
-    dim = 2 * len(pairs) + 1
-    hyper = _even_hyperplane_pairs(len(pairs))
-    cliques = [0] * dim
-    for v in range(n):
+    basis = f2core.orthonormal_basis(m)
+    cliques = [0] * len(basis)
+    for v in range(g.n):
         ev = 1 << v
-        image = 0
-        for (a, b), (alpha, beta) in zip(pairs, hyper):
-            if f2core.form_value(m, ev, b):
-                image ^= alpha
-            if f2core.form_value(m, ev, a):
-                image ^= beta
-        for j in range(dim):
-            if (image >> j) & 1:
-                cliques[j] |= ev
-    return CliqueFamily(n, tuple(cliques))
-
-
-def _even_hyperplane_pairs(m: int) -> list[tuple[int, int]]:
-    """Symplectic basis, under the scalar product, of the even-weight vectors
-    of F2^(2m+1).  Spanning vectors e_i + e_2m are all even weight, and the
-    hyperplane misses the all-ones vector, so the restriction is nondegenerate."""
-    d = 2 * m + 1
-    ident = F2Matrix.identity(d)
-    spanning = [(1 << i) | (1 << (d - 1)) for i in range(d - 1)]
-    pairs = f2core.symplectic_pairs_in(ident, spanning)
-    if len(pairs) != m:  # pragma: no cover - fixed by construction
-        raise AssertionError("even-weight hyperplane pairing failed")
-    return pairs
+        for k, u in enumerate(basis):
+            if f2core.form_value(m, ev, u):
+                cliques[k] |= ev
+    return CliqueFamily(g.n, tuple(cliques))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Matrices are immutable: n bit-rows packed into Python ints (bit j of row i is
 entry (i, j)), capped at n = 64.  This module owns rank computation, diagonal
 perturbation, the diagonal-mask search behind the geometric and boolean
-dimensions, and the orthonormal/symplectic basis extraction used to build
-representation witnesses.
+dimensions, the orthonormal basis extraction used to build representation
+witnesses, and hyperbolic-pair extraction for alternating forms.
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ class F2Matrix:
     def bit(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 
-    def to_lists(self) -> list[list[int]]:
-        return [[self.bit(i, j) for j in range(self.n)] for i in range(self.n)]
-
     def is_symmetric(self) -> bool:
         return all(
             self.bit(i, j) == self.bit(j, i)
@@ -107,7 +104,9 @@ def _deadline(budget_s: float | None) -> float | None:
 
 
 class Sweep(NamedTuple):
-    """Both diagonal minima of a zero-diagonal matrix, each with its mask."""
+    """The least rank of a zero-diagonal matrix plus a diagonal mask: over
+    all masks (geometric) and over the nonzero ones (boolean), each with its
+    mask."""
 
     geometric: int
     geometric_mask: DiagonalMask
@@ -119,17 +118,18 @@ def minrank_sweep(m: F2Matrix, *, budget_s: float | None = None) -> Sweep:
     """Geometric and boolean minima over the diagonal masks, in one search.
 
     The geometric value is the least rank(m + D) over all 2^n masks D.  The
-    boolean (inner-realizability) value is the same minimum except that
-    D = 0 costs rank + 1 (0 for rank 0): a symmetric Gram matrix with a
-    nonzero diagonal entry and rank r is realizable with the standard scalar
-    product in dimension r, while an alternating one of rank 2m > 0 needs
-    2m + 1 coordinates, since every image vector must sit inside the
-    even-weight hyperplane.  With r0 = rank(m) and h the least rank over the
-    nonzero masks, searched with the cap r0 + 1, geometric = min(r0, h) and
-    boolean = min(h, r0 + 1).
+    boolean (inner-realizability) value is the least rank over the nonzero
+    masks (0 for the zero matrix): a Gram matrix with a nonzero diagonal
+    entry and rank r is realizable with the standard scalar product in
+    dimension r.  Mask 0 never does better, because an alternating Gram
+    matrix of rank r0 > 0 needs r0 + 1 coordinates and a one-vertex mask
+    already has rank at most r0 + 1.  The kernel runs once with the cap
+    r0 + 2, which every one-vertex mask beats, so it always returns a mask;
+    with h its rank, geometric = min(r0, h) and boolean = h.
 
-    Each witness is the first mask in Gray-code order attaining its minimum;
-    mask 0 is Gray position 0, so it wins ties.
+    Each witness is the first mask in Gray-code order attaining its minimum.
+    The geometric one may be mask 0 (Gray position 0); the boolean one is
+    nonzero unless the matrix is zero.
     """
     _require_symmetric(m)
     if not is_alternating(m):
@@ -137,10 +137,9 @@ def minrank_sweep(m: F2Matrix, *, budget_s: float | None = None) -> Sweep:
     r0 = rank(m)
     if r0 == 0:
         return Sweep(0, 0, 0, 0)
-    h, mask = kernels.diagonal_sweep(m.rows, m.n, r0 + 1, 0, _deadline(budget_s))
+    h, mask = kernels.diagonal_sweep(m.rows, m.n, r0 + 2, 0, _deadline(budget_s))
     geometric = (r0, 0) if r0 <= h else (h, mask)
-    boolean = (h, mask) if h <= r0 else (r0 + 1, 0)
-    return Sweep(*geometric, *boolean)
+    return Sweep(*geometric, h, mask)
 
 
 def inner_cost_sweep(m: F2Matrix, *, budget_s: float | None = None) -> tuple[int, DiagonalMask]:
@@ -214,16 +213,6 @@ def symplectic_pairs(m: F2Matrix) -> list[tuple[int, int]]:
     if not is_alternating(m):
         raise ValueError("symplectic pair extraction expects a zero diagonal")
     return _extract_pairs(m, [1 << i for i in range(m.n)])
-
-
-def symplectic_pairs_in(m: F2Matrix, spanning) -> list[tuple[int, int]]:
-    """Hyperbolic pairs inside the span of the given vectors.
-
-    The form restricted to that span must be alternating, which the caller
-    guarantees (every spanning vector, and hence every combination, isotropic).
-    """
-    _require_symmetric(m)
-    return _extract_pairs(m, list(spanning))
 
 
 def _extract_pairs(m, vectors):

@@ -124,7 +124,7 @@ class CliqueFamily:
         return len(self.members)
 
     def as_sets(self) -> list[list[int]]:
-        return [_bits(c) for c in self.members]
+        return [set_bits(c) for c in self.members]
 
     def vertex_map(self) -> dict[int, frozenset[int]]:
         """The map v -> {i : v in C_i} induced by the family."""
@@ -134,7 +134,8 @@ class CliqueFamily:
         }
 
 
-def _bits(mask: int) -> list[int]:
+def set_bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
     out = []
     while mask:
         low = mask & -mask
@@ -178,7 +179,7 @@ def realize(family: CliqueFamily) -> Graph:
     """Boolean sum of the clique graphs of all family members."""
     adj = [0] * family.n
     for c in family.members:
-        for i in _bits(c):
+        for i in set_bits(c):
             adj[i] ^= c & ~(1 << i)
     return Graph(family.n, tuple(adj))
 

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from booldim import cli
-from booldim.graphs import complete_graph, path_graph, write_graph6
+from booldim.graphs import complete_graph, ortho_graph_H, path_graph, write_graph6
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from checks import check_graph_dims  # noqa: E402
 
 
 @pytest.fixture()
@@ -44,6 +50,34 @@ def test_graph_dims_json_stable(tmp_path, cache_dir, capsys):
     assert records[0]["result"]["boolean"] == 5
     assert records[0]["version"]
     assert len(records[0]["input_digest"]) == 64
+
+
+@pytest.mark.parametrize(
+    "g6, golden",
+    [
+        (write_graph6(ortho_graph_H(4)), (4, 4, 5)),
+        ("Dvw", (2, 2, 3)),
+    ],
+    ids=["ortho_H4", "K5_minus_two_disjoint_edges"],
+)
+def test_graph_dims_tie_case_passes_independent_check(tmp_path, cache_dir, capsys, g6, golden):
+    # Graphs with geometric = symplectic = boolean - 1, where the boolean
+    # witness is a nonzero mask that ties mask 0; the benchmark's own rank
+    # and clique-XOR check replays the record against the paper's values.
+    path = tmp_path / "g.g6"
+    path.write_text(g6 + "\n")
+    code, out, _ = run(capsys, "graph", "dims", "--graph6", str(path), "--json")
+    assert code == 0
+    geometric, symplectic, boolean = golden
+    item = {
+        "golden": {
+            "geometric": geometric,
+            "symplectic": symplectic,
+            "boolean": boolean,
+            "trichotomy": "geo-symp-eq-bool-minus-1",
+        }
+    }
+    assert check_graph_dims(item, json.loads(out), g6) is None
 
 
 def test_tree_mstar_path10(tmp_path, cache_dir, capsys):

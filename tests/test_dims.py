@@ -28,6 +28,7 @@ from booldim.graphs import (
     find_duo,
     ortho_graph,
     ortho_graph_H,
+    parse_graph6,
     path_graph,
     realize,
     validate_representation,
@@ -147,6 +148,19 @@ class TestDimensionReport:
         rep = dimension_report(ortho_graph_H(4))
         assert (rep.geometric, rep.symplectic, rep.boolean) == (4, 4, 5)
         assert rep.trichotomy_case is TrichotomyCase.GEO_SYMP_EQ_BOOL_MINUS_1
+
+    def test_tie_case_boolean_witness_is_first_nonzero_mask(self):
+        # When boolean = symplectic + 1, mask 0 ties the optimum; the boolean
+        # witness is the first nonzero mask in Gray order (mask 1), and its
+        # orthonormal factorization realizes the graph.
+        for g in (ortho_graph_H(4), parse_graph6("Dvw")):
+            core = g.induced([v for v in range(g.n) if g.adj[v]])
+            sweep = f2core.minrank_sweep(dims.adjacency_matrix(core))
+            assert sweep.boolean == f2core.rank(dims.adjacency_matrix(core)) + 1
+            assert sweep.boolean_mask == 1
+            family = dimension_report(g).witness_cliques
+            assert len(family) == sweep.boolean
+            assert realize(family).adj == g.adj
 
     def test_k5(self):
         rep = dimension_report(complete_graph(5))

@@ -209,19 +209,21 @@ class TestSweeps:
 
     def test_sweep_matches_gray_order_naive(self):
         # The one-pass boolean value and witness must equal a literal
-        # Gray-order scan with full recompute.
+        # Gray-order scan with full recompute over the nonzero masks, and
+        # (0, 0) for the zero matrix.
         rng = random.Random(104)
         for _ in range(60):
             n = rng.randint(1, 8)
             rows = random_symmetric_rows(rng, n)
-            best, best_mask, best_pos = None, None, None
-            for pos in range(1 << n):
-                mask = pos ^ (pos >> 1)
-                work = tuple(rows[i] ^ (((mask >> i) & 1) << i) for i in range(n))
-                r = kernels.rank(work, n)
-                cost = (0 if r == 0 else r + 1) if mask == 0 else r
-                if best is None or cost < best:
-                    best, best_mask, best_pos = cost, mask, pos
+            best, best_mask, best_pos = 0, 0, 0
+            if any(rows):
+                best = None
+                for pos in range(1, 1 << n):
+                    mask = pos ^ (pos >> 1)
+                    work = tuple(rows[i] ^ (((mask >> i) & 1) << i) for i in range(n))
+                    r = kernels.rank(work, n)
+                    if best is None or r < best:
+                        best, best_mask, best_pos = r, mask, pos
             sweep = f2core.minrank_sweep(F2Matrix(n, rows))
             assert (sweep.boolean, sweep.boolean_mask, gray_position(sweep.boolean_mask)) == (
                 best, best_mask, best_pos,
