@@ -256,7 +256,7 @@ def _cmd_tree_verify(args) -> int:
     started = time.perf_counter()
     g, raw = _load_graph(args)
     tree = trees.Tree.from_graph(g)
-    ind_value, _ = dims.ind_mod2(g)
+    ind_value, _ = dims.ind_mod2(g, budget_s=args.budget)
     bool_value, _ = dims.boolean_dim(g, budget_s=args.budget)
     star_value, _ = trees.m_star(tree)
     equal = ind_value == bool_value == star_value
@@ -354,7 +354,7 @@ def _add_common(parser):
     # Accepted for old command lines and ignored: every command runs in one process.
     parser.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--budget", type=float, default=None, metavar="SECONDS",
-                        help="hard wall-clock bound for sweeps (exceeding is an error)")
+                        help="hard wall-clock bound for each search (exceeding is an error)")
     parser.add_argument("--cache-dir", default=None,
                         help="per-class index cache of 'tournament table' "
                              f"(default ${CACHE_ENV} or ~/.cache/booldim)")

@@ -15,10 +15,11 @@ sweep.
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import f2core
+from . import _kernels_py, f2core
 from .errors import CapacityError
 from .f2core import F2Matrix
 from .graphs import CliqueFamily, Graph, realize, validate_representation
@@ -28,7 +29,7 @@ from .graphs import CliqueFamily, Graph, realize, validate_representation
 #: fast instead of running for days.
 DEFAULT_SWEEP_CAP = 26
 
-IND_SEARCH_CAP = 16
+IND_SEARCH_CAP = 20
 SUBSET_TEST_CAP = 20
 ORACLE_VERTEX_CAP = 6
 ORACLE_FAMILY_CAP = 5
@@ -267,14 +268,45 @@ def boolean_dim_oracle(g: Graph, k_max: int) -> int | None:
 # ---------------------------------------------------------------------------
 
 
+def _closed_subset(adj, members, outside: int, x: int = 0, fold: int = 0) -> bool:
+    """True iff some nonempty X = x ^ Y, Y inside ``members``, has its fold
+    (XOR of the rows over X; ``fold`` is x's) inside X.  With x and the members
+    off ``outside``, that needs fold(X) & outside == 0, linear in Y: only its
+    solutions, one Y plus the kernel's span, are walked in Gray-code order."""
+    basis, kernel = [], []  # basis: (pivot bit, vector, combination, fold)
+    for u in members:
+        c, y, f = adj[u] & outside, 1 << u, adj[u]
+        for pivot, bc, by, bf in basis:
+            if c & pivot:
+                c, y, f = c ^ bc, y ^ by, f ^ bf
+        if c:
+            basis.append((c & -c, c, y, f))
+        else:
+            kernel.append((y, f))
+    c = fold & outside
+    for pivot, bc, by, bf in basis:
+        if c & pivot:
+            c, x, fold = c ^ bc, x ^ by, fold ^ bf
+    if c:  # off the span: no Y solves the system
+        return False
+    if x and not fold & ~x:
+        return True
+    for t in range(1, 1 << len(kernel)):
+        y, f = kernel[(t & -t).bit_length() - 1]
+        x, fold = x ^ y, fold ^ f
+        if not fold & ~x:
+            return True
+    return False
+
+
 def is_independent_mod2(g: Graph, vertices) -> bool:
     """True iff every nonempty X inside the set has an outside vertex with an
     odd number of neighbors in X.
 
-    Bitset form: with x the characteristic vector of X, the fold of the
-    adjacency rows over X marks the vertices of odd neighborhood intersection;
-    the test is a set bit outside x.  Subsets are walked in Gray-code order so
-    each step is one row XOR.
+    Bitset form: the fold of the adjacency rows over X marks the vertices of
+    odd neighborhood intersection, and X fails when its fold lies inside X.
+    Only the X whose fold is even on every vertex outside the set can fail,
+    so only those are tested.  ind_mod2 checks its witness with this test.
     """
     vs = sorted(set(vertices))
     for v in vs:
@@ -282,66 +314,49 @@ def is_independent_mod2(g: Graph, vertices) -> bool:
             raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
     if len(vs) > SUBSET_TEST_CAP:
         raise CapacityError(f"independence test capped at sets of {SUBSET_TEST_CAP}")
-    fold = 0
-    xmask = 0
-    prev = 0
-    for t in range(1, 1 << len(vs)):
-        gray = t ^ (t >> 1)
-        toggled = gray ^ prev
-        prev = gray
-        v = vs[toggled.bit_length() - 1]
-        fold ^= g.adj[v]
-        xmask ^= 1 << v
-        if not fold & ~xmask:
-            return False
-    return True
+    return not _closed_subset(g.adj, vs, ~sum(1 << v for v in vs))
 
 
-def ind_mod2(g: Graph) -> tuple[int, IndWitness]:
-    """Maximum size of an independent-mod-2 set, with a witness.
-
-    Depth-first over vertices in decreasing-degree order (ties by index),
-    exploiting heredity: every subset of an independent set is independent, so
-    a candidate only needs its new subsets (those containing the added vertex)
-    checked.  Prunes when the remaining vertices cannot beat the incumbent.
-    """
+def ind_mod2(g: Graph, *, budget_s: float | None = None) -> tuple[int, IndWitness]:
+    """Maximum size of an independent-mod-2 set, with a checked witness: the
+    first largest set of an include-first search over the vertices by
+    decreasing degree (ties by index), the one lexicographically greatest in
+    that order.  By heredity an include only tests the subsets with the new
+    vertex.  A nonzero x inside an independent S with (A + D)x = 0 would have
+    fold(x) = Dx inside x, so the search stops at min(rank A, rank(A + I)) and
+    cuts a branch whose chosen and remaining columns of A have rank too low to
+    beat the incumbent.  The deadline is polled at the first node and every
+    1024 nodes."""
     if g.n > IND_SEARCH_CAP:
         raise CapacityError(f"independence search capped at {IND_SEARCH_CAP} vertices")
+    deadline = None if budget_s is None else time.monotonic() + budget_s
+    shifted = [row ^ (1 << v) for v, row in enumerate(g.adj)]
+    bound = min(_kernels_py.rank(g.adj, g.n), _kernels_py.rank(shifted, g.n))
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    best = 0
-    best_set: tuple[int, ...] = ()
-    subs: list[tuple[int, int]] = [(0, 0)]
+    best: tuple[int, ...] = ()
     chosen: list[int] = []
+    nodes = 0
 
-    def rec(i: int):
-        nonlocal best, best_set
-        if len(chosen) + (g.n - i) <= best:
-            return
+    def rec(i: int, members: int):
+        nonlocal best, nodes
+        if not nodes & _kernels_py._CHECK_MASK:
+            _kernels_py._check_deadline(deadline)
+        nodes += 1
         if i == g.n:
-            if len(chosen) > best:
-                best = len(chosen)
-                best_set = tuple(sorted(chosen))
+            best = tuple(sorted(chosen))
             return
         v = order[i]
         bit = 1 << v
-        row = g.adj[v]
-        extension = []
-        ok = True
-        for xmask, fold in subs:
-            xmask2 = xmask | bit
-            fold2 = fold ^ row
-            if not fold2 & ~xmask2:
-                ok = False
-                break
-            extension.append((xmask2, fold2))
-        if ok:
-            base = len(subs)
-            subs.extend(extension)
+        if not _closed_subset(g.adj, chosen, ~(members | bit), bit, g.adj[v]):
             chosen.append(v)
-            rec(i + 1)
+            rec(i + 1, members | bit)
             chosen.pop()
-            del subs[base:]
-        rec(i + 1)
+        rest = order[i + 1:]
+        if len(best) < bound and len(chosen) + len(rest) > len(best):
+            if _kernels_py.rank([g.adj[u] for u in chosen + rest], g.n) > len(best):
+                rec(i + 1, members)
 
-    rec(0)
-    return best, IndWitness(best_set)
+    rec(0, 0)
+    if not is_independent_mod2(g, best):
+        raise AssertionError("independence witness is not independent mod 2")
+    return len(best), IndWitness(best)

@@ -262,12 +262,12 @@ def decomposition_to_cliques(tree: Tree, decomposition: StarDecomposition) -> Cl
     return CliqueFamily(tree.n, tuple(members))
 
 
-def verify_tree_theorem(tree: Tree) -> bool:
+def verify_tree_theorem(tree: Tree, *, budget_s: float | None = None) -> bool:
     """Independently compute the three tree invariants and compare them."""
     from .dims import boolean_dim, ind_mod2
 
-    ind_value, _ = ind_mod2(tree.graph)
-    bool_value, _ = boolean_dim(tree.graph)
+    ind_value, _ = ind_mod2(tree.graph, budget_s=budget_s)
+    bool_value, _ = boolean_dim(tree.graph, budget_s=budget_s)
     star_value, _ = m_star(tree)
     return ind_value == bool_value == star_value
 

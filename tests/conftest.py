@@ -19,6 +19,14 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def random_tree(rng: random.Random, n: int) -> Graph:
+    """Random recursive tree (each vertex joins an earlier one), relabeled by a
+    random permutation."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[v], perm[rng.randrange(v)]) for v in range(1, n)])
+
+
 def random_symmetric_rows(rng: random.Random, n: int, zero_diagonal: bool = True):
     rows = [0] * n
     for i in range(n):

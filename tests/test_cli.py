@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from booldim import cli
+from booldim import cli, dims
 from booldim.graphs import complete_graph, ortho_graph_H, path_graph, write_graph6
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from checks import check_graph_dims  # noqa: E402
+from conftest import random_tree  # noqa: E402
 
 
 @pytest.fixture()
@@ -252,6 +254,27 @@ def test_budget_expires_mid_search_exit_3(tmp_path, cache_dir, capsys, clock_jum
     )
     assert code == 3
     assert "budget" in err
+
+
+def test_tree_verify_budget_expires_in_independence_search(
+    tmp_path, cache_dir, capsys, clock_jump, monkeypatch
+):
+    # The independence search polls several times on this tree and runs
+    # before the diagonal sweep, so the budget must expire inside it.
+    g6 = tmp_path / "t20.g6"
+    g6.write_text(write_graph6(random_tree(random.Random(1), 20)))
+
+    def sweep(*args, **kwargs):
+        raise AssertionError("the diagonal sweep ran")
+
+    monkeypatch.setattr(dims, "boolean_dim", sweep)
+    clock = clock_jump(1)
+    code, _, err = run(
+        capsys, "tree", "verify", "--graph6", str(g6), "--budget", "3600"
+    )
+    assert code == 3
+    assert "budget" in err
+    assert clock.reads == 2
 
 
 def test_oracle_check(tmp_path, cache_dir, capsys):

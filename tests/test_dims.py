@@ -17,7 +17,7 @@ from booldim.dims import (
     is_independent_mod2,
     symplectic_dim,
 )
-from booldim.errors import CapacityError
+from booldim.errors import BudgetExceededError, CapacityError
 from booldim.graphs import (
     Graph,
     boolean_sum,
@@ -33,7 +33,8 @@ from booldim.graphs import (
     realize,
     validate_representation,
 )
-from conftest import random_graph
+from booldim.trees import enumerate_trees
+from conftest import random_graph, random_tree
 
 
 def triangle_with_pendants() -> Graph:
@@ -200,6 +201,52 @@ class TestDimensionReport:
             dimension_report(complete_graph(5))
 
 
+def gray_walk_independent(g: Graph, vertices) -> bool:
+    """Brute-force oracle for is_independent_mod2: every nonempty X inside the
+    set, walked in Gray-code order so each step is one row XOR, must have its
+    fold (the vertices with an odd number of neighbors in X) leave X."""
+    vs = sorted(set(vertices))
+    fold = 0
+    xmask = 0
+    prev = 0
+    for t in range(1, 1 << len(vs)):
+        gray = t ^ (t >> 1)
+        toggled = gray ^ prev
+        prev = gray
+        v = vs[toggled.bit_length() - 1]
+        fold ^= g.adj[v]
+        xmask ^= 1 << v
+        if not fold & ~xmask:
+            return False
+    return True
+
+
+def ind_mod2_brute(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Brute-force oracle for ind_mod2 over all 2^n vertex subsets.
+
+    A set is independent when it is not closed (its fold leaves it) and every
+    set with one vertex fewer is independent.  Of the largest independent
+    sets it returns the one whose membership tuple along the
+    decreasing-degree order (ties by index) is greatest: the first optimum an
+    include-first depth-first search meets.
+    """
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    fold = [0] * (1 << g.n)
+    independent = [True] * (1 << g.n)
+    best_key, best = (0, ()), 0
+    for s in range(1, 1 << g.n):
+        low = s & -s
+        fold[s] = fold[s ^ low] ^ g.adj[low.bit_length() - 1]
+        independent[s] = bool(fold[s] & ~s) and all(
+            independent[s ^ (1 << v)] for v in range(g.n) if s >> v & 1
+        )
+        if independent[s]:
+            key = (s.bit_count(), tuple(s >> v & 1 for v in order))
+            if key > best_key:
+                best_key, best = key, s
+    return best_key[0], tuple(v for v in range(g.n) if best >> v & 1)
+
+
 class TestIndependence:
     def test_path_prefix(self):
         for n in range(2, 9):
@@ -236,6 +283,47 @@ class TestIndependence:
             vs = list(witness.vertices)
             for k in range(len(vs)):
                 assert is_independent_mod2(g, vs[:k] + vs[k + 1:])
+
+    def test_matches_gray_walk_on_every_subset_n_le_5(self):
+        for n in range(6):
+            for g in enumerate_graphs(n):
+                for s in range(1 << n):
+                    vs = [v for v in range(n) if s >> v & 1]
+                    assert is_independent_mod2(g, vs) == gray_walk_independent(g, vs)
+
+    def test_search_matches_brute_force(self):
+        cases = [g for n in range(6) for g in enumerate_graphs(n)]
+        rng = random.Random(8)
+        cases += [random_graph(rng, rng.randint(1, 9), rng.random()) for _ in range(300)]
+        cases += [t.graph for n in range(1, 11) for t in enumerate_trees(n)]
+        for g in cases:
+            value, witness = ind_mod2(g)
+            assert (value, witness.vertices) == ind_mod2_brute(g)
+
+    def test_planted_wrong_witness_raises(self, monkeypatch):
+        closed = dims._closed_subset
+
+        def include_everything(adj, members, outside, x=0, fold=0):
+            # The search's include tests pass x; the witness check does not.
+            return False if x else closed(adj, members, outside)
+
+        monkeypatch.setattr(dims, "_closed_subset", include_everything)
+        # P6 has rank(A) = rank(A + I) = 6, so the search takes all six
+        # vertices, one more than the maximum.
+        with pytest.raises(AssertionError):
+            ind_mod2(path_graph(6))
+
+    def test_cap(self):
+        assert dims.IND_SEARCH_CAP == 20
+        with pytest.raises(CapacityError):
+            ind_mod2(path_graph(21))
+
+    def test_budget_expires_mid_search(self, clock_jump):
+        # This tree takes a few thousand search nodes, so several deadline polls.
+        clock = clock_jump(1)
+        with pytest.raises(BudgetExceededError):
+            ind_mod2(random_tree(random.Random(1), 20), budget_s=3600)
+        assert clock.reads == 2
 
 
 # ---------------------------------------------------------------------------

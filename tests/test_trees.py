@@ -8,9 +8,9 @@ from itertools import product
 import networkx as nx
 import pytest
 
-from booldim import trees
+from booldim import dims, trees
 from booldim.dims import boolean_dim, ind_mod2
-from booldim.errors import NotATreeError
+from booldim.errors import BudgetExceededError, NotATreeError
 from booldim.graphs import Graph, cycle_graph, realize
 from booldim.trees import (
     Base,
@@ -26,6 +26,7 @@ from booldim.trees import (
     m_star,
     verify_tree_theorem,
 )
+from conftest import random_tree
 
 
 def exhaustive_m(tree: Tree) -> int:
@@ -181,6 +182,24 @@ class TestTreeTheorem:
         t = Tree.star(4)
         assert verify_tree_theorem(t)
         assert m_star(t)[0] == 2
+
+    def test_ind_equals_m_star_on_20_vertex_trees(self):
+        # m* shares no code with the independence search.
+        for seed in (1, 3, 5):
+            tree = Tree.from_graph(random_tree(random.Random(seed), 20))
+            assert ind_mod2(tree.graph)[0] == m_star(tree)[0]
+
+    def test_budget_expires_in_independence_search(self, clock_jump, monkeypatch):
+        # The independence search runs first and polls several times on this
+        # tree; the budget must expire inside it, before the sweep starts.
+        def sweep(*args, **kwargs):
+            raise AssertionError("the diagonal sweep ran")
+
+        monkeypatch.setattr(dims, "boolean_dim", sweep)
+        clock = clock_jump(1)
+        with pytest.raises(BudgetExceededError):
+            verify_tree_theorem(Tree.from_graph(random_tree(random.Random(1), 20)), budget_s=3600)
+        assert clock.reads == 2
 
 
 def test_boolean_dim_bounded_by_any_decomposition():
