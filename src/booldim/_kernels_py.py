@@ -219,34 +219,21 @@ def inversion_search(
     return best, best_perm, best_mask
 
 
-def _reversed_bits(x: int, n: int) -> int:
-    out = 0
-    for j in range(n):
-        if (x >> j) & 1:
-            out |= 1 << (n - 1 - j)
-    return out
-
-
 def canon_tournament(arcs, n: int):
     """Lexicographically least arc matrix over all vertex relabelings.
 
-    Rows are compared as the row-major bit-string (entry (i, j) read with j
-    ascending), realised by comparing bit-reversed row integers.
+    Matrices compare as row-major bit strings (entry (i, j) read with j
+    ascending).  Each relabeling's key is built in that reading order: row r
+    holds the out-neighbours of the vertex at position r, entry (r, j) at bit
+    n-1-j, so keys compare as int tuples and only the winner is turned back
+    into arc rows.
     """
-    best_key = None
-    best_rows = None
-    for p in permutations(range(n)):
-        new_rows = [0] * n
-        for i in range(n):
-            src = arcs[i]
-            dst = 0
-            while src:
-                low = src & -src
-                dst |= 1 << p[low.bit_length() - 1]
-                src ^= low
-            new_rows[p[i]] = dst
-        key = tuple(_reversed_bits(r, n) for r in new_rows)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_rows = tuple(new_rows)
-    return best_rows if best_rows is not None else ()
+    outs = [[j for j in range(n) if (arcs[v] >> j) & 1] for v in range(n)]
+    weights = [1 << (n - 1 - r) for r in range(n)]
+    best = None
+    for order in permutations(range(n)):
+        weight = dict(zip(order, weights))
+        key = tuple([sum([weight[j] for j in outs[v]]) for v in order])
+        if best is None or key < best:
+            best = key
+    return tuple(int(format(row, f"0{n}b")[::-1], 2) for row in best)

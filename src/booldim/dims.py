@@ -15,7 +15,6 @@ sweep.
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -91,21 +90,20 @@ def _lift_mask(mask: int, core: list[int]) -> int:
     return out
 
 
-def _check_sweep_cap(n: int, cap: int):
-    if n > cap:
-        raise CapacityError(f"diagonal sweep capped at {cap} non-isolated vertices, got {n}")
-
-
 def symplectic_dim(g: Graph) -> int:
     """Rank of the adjacency matrix over GF(2)."""
     return f2core.rank(adjacency_matrix(g))
 
 
-def _core_sweep(g: Graph, cap: int, budget_s: float | None):
+def _core_sweep(g: Graph, budget_s: float | None):
     """One diagonal search on the isolated-free core (isolated vertices never
-    help), with the core and its vertex mapping back to g."""
+    help), with the core and its vertex mapping back to g.  A core of more than
+    DEFAULT_SWEEP_CAP vertices is refused before any search."""
     core_g, core = _isolated_free_core(g)
-    _check_sweep_cap(core_g.n, cap)
+    if core_g.n > DEFAULT_SWEEP_CAP:
+        raise CapacityError(
+            f"diagonal sweep capped at {DEFAULT_SWEEP_CAP} non-isolated vertices, got {core_g.n}"
+        )
     return core_g, core, f2core.minrank_sweep(adjacency_matrix(core_g), budget_s=budget_s)
 
 
@@ -131,46 +129,31 @@ def _boolean_witness(g: Graph, core_g: Graph, core: list[int], sweep: f2core.Swe
     return family
 
 
-def geometric_dim(
-    g: Graph,
-    *,
-    cap: int = DEFAULT_SWEEP_CAP,
-    budget_s: float | None = None,
-) -> tuple[int, int]:
+def geometric_dim(g: Graph, *, budget_s: float | None = None) -> tuple[int, int]:
     """Minimum rank over all 2^n diagonal masks, with an achieving mask.
 
     The witness is the first mask in Gray-code order attaining the minimum.
     """
-    _, core, sweep = _core_sweep(g, cap, budget_s)
+    _, core, sweep = _core_sweep(g, budget_s)
     return sweep.geometric, _geometric_witness(g, core, sweep)
 
 
-def boolean_dim(
-    g: Graph,
-    *,
-    cap: int = DEFAULT_SWEEP_CAP,
-    budget_s: float | None = None,
-) -> tuple[int, CliqueFamily]:
+def boolean_dim(g: Graph, *, budget_s: float | None = None) -> tuple[int, CliqueFamily]:
     """Least number of cliques whose XOR is the graph, with a witness family.
 
     Computed as the least rank over the nonzero diagonal masks (see
     f2core.minrank_sweep); the witness family is read off an orthonormal
     factorization of the optimal Gram matrix, one clique per coordinate.
     """
-    core_g, core, sweep = _core_sweep(g, cap, budget_s)
+    core_g, core, sweep = _core_sweep(g, budget_s)
     return sweep.boolean, _boolean_witness(g, core_g, core, sweep)
 
 
-def dimension_report(
-    g: Graph,
-    *,
-    cap: int = DEFAULT_SWEEP_CAP,
-    budget_s: float | None = None,
-) -> DimensionReport:
+def dimension_report(g: Graph, *, budget_s: float | None = None) -> DimensionReport:
     """All four dimensions, the trichotomy case, and both witnesses, from one
     diagonal search.  Both witnesses are checked before they are returned."""
     symp = symplectic_dim(g)
-    core_g, core, sweep = _core_sweep(g, cap, budget_s)
+    core_g, core, sweep = _core_sweep(g, budget_s)
     geo, diag = sweep.geometric, _geometric_witness(g, core, sweep)
     boo, cliques = sweep.boolean, _boolean_witness(g, core_g, core, sweep)
     if geo == boo == symp:
@@ -200,19 +183,14 @@ def dimension_report(
 def witness_family(g: Graph, mask: int) -> CliqueFamily:
     """Clique family realizing g, read off the Gram matrix A + mask.
 
-    The mask must be nonzero unless g has no edges, so that A + mask is not
-    alternating.  The vectors f(v) are coordinates against an orthonormal
-    basis, giving rank-many cliques C_k = {v : f(v)_k = 1}.
+    The mask must be nonzero unless g has no edges, so that B = A + mask is
+    not alternating.  Against an orthonormal basis u_1..u_r of B, vertex v
+    lies in clique k iff phi(e_v, u_k) = 1, so the clique is the image
+    C_k = B u_k, and the r cliques realize g.
     """
     m = f2core.add_diagonal(adjacency_matrix(g), mask)
     basis = f2core.orthonormal_basis(m)
-    cliques = [0] * len(basis)
-    for v in range(g.n):
-        ev = 1 << v
-        for k, u in enumerate(basis):
-            if f2core.form_value(m, ev, u):
-                cliques[k] |= ev
-    return CliqueFamily(g.n, tuple(cliques))
+    return CliqueFamily(g.n, tuple(f2core._image(m, u) for u in basis))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +307,7 @@ def ind_mod2(g: Graph, *, budget_s: float | None = None) -> tuple[int, IndWitnes
     1024 nodes."""
     if g.n > IND_SEARCH_CAP:
         raise CapacityError(f"independence search capped at {IND_SEARCH_CAP} vertices")
-    deadline = None if budget_s is None else time.monotonic() + budget_s
+    deadline = f2core._deadline(budget_s)
     shifted = [row ^ (1 << v) for v, row in enumerate(g.adj)]
     bound = min(_kernels_py.rank(g.adj, g.n), _kernels_py.rank(shifted, g.n))
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))

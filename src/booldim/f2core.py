@@ -60,15 +60,15 @@ class F2Matrix:
             rows.append(sum((1 << j) for j, v in enumerate(row) if v & 1))
         return cls(n, tuple(rows))
 
-    def bit(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
     def is_symmetric(self) -> bool:
-        return all(
-            self.bit(i, j) == self.bit(j, i)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
+        """Every set entry (i, j) has its mirror (j, i) set."""
+        for i, row in enumerate(self.rows):
+            while row:
+                low = row & -row
+                if not (self.rows[low.bit_length() - 1] >> i) & 1:
+                    return False
+                row ^= low
+        return True
 
 
 def _require_symmetric(m: F2Matrix):
@@ -157,15 +157,19 @@ def inner_cost_sweep(m: F2Matrix, *, budget_s: float | None = None) -> tuple[int
 # phi(x, y) = parity(x & (B y)).
 
 
+def _image(m: F2Matrix, y: int) -> int:
+    """B y: the XOR of the rows of m that y selects."""
+    by = 0
+    while y:
+        low = y & -y
+        by ^= m.rows[low.bit_length() - 1]
+        y ^= low
+    return by
+
+
 def form_value(m: F2Matrix, x: int, y: int) -> int:
     """phi(x, y) for the symmetric bilinear form with Gram matrix m."""
-    by = 0
-    rest = y
-    while rest:
-        low = rest & -rest
-        by ^= m.rows[low.bit_length() - 1]
-        rest ^= low
-    return (x & by).bit_count() & 1
+    return (x & _image(m, y)).bit_count() & 1
 
 
 def orthonormal_basis(m: F2Matrix) -> list[int]:
@@ -182,15 +186,12 @@ def orthonormal_basis(m: F2Matrix) -> list[int]:
     vectors = [1 << i for i in range(m.n)]
     ortho: list[int] = []
     while True:
-        pick = -1
-        for idx, v in enumerate(vectors):
-            if form_value(m, v, v):
-                pick = idx
-                break
-        if pick < 0:
+        u = next((v for v in vectors if form_value(m, v, v)), None)
+        if u is None:
             break
-        u = vectors.pop(pick)
-        vectors = [v ^ u if form_value(m, v, u) else v for v in vectors]
+        vectors.remove(u)
+        bu = _image(m, u)
+        vectors = [v ^ u if (v & bu).bit_count() & 1 else v for v in vectors]
         ortho.append(u)
     pairs = _extract_pairs(m, vectors)
     if pairs:
@@ -215,30 +216,35 @@ def symplectic_pairs(m: F2Matrix) -> list[tuple[int, int]]:
     return _extract_pairs(m, [1 << i for i in range(m.n)])
 
 
+def _first_pair(m, vectors):
+    """The first (i, j), i < j, with phi(vectors[i], vectors[j]) = 1, or None."""
+    for i, a in enumerate(vectors):
+        ba = _image(m, a)
+        for j in range(i + 1, len(vectors)):
+            if (vectors[j] & ba).bit_count() & 1:
+                return i, j
+    return None
+
+
 def _extract_pairs(m, vectors):
+    """Split off hyperbolic pairs: the first (a, b) in list order with
+    phi(a, b) = 1, then every other vector is made orthogonal to both."""
     pairs = []
     vectors = list(vectors)
     while True:
-        found = None
-        for i in range(len(vectors)):
-            for j in range(i + 1, len(vectors)):
-                if form_value(m, vectors[i], vectors[j]):
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
-            break
+        found = _first_pair(m, vectors)
+        if found is None:
+            return pairs
         i, j = found
         b = vectors.pop(j)
         a = vectors.pop(i)
+        ba, bb = _image(m, a), _image(m, b)
         fixed = []
         for x in vectors:
-            if form_value(m, x, b):
+            if (x & bb).bit_count() & 1:
                 x ^= a
-            if form_value(m, x, a):
+            if (x & ba).bit_count() & 1:
                 x ^= b
             fixed.append(x)
         vectors = fixed
         pairs.append((a, b))
-    return pairs

@@ -13,12 +13,11 @@ turns the optimal clique family straight into an inversion certificate.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 
-from . import dims
+from . import dims, f2core
 from ._backend import kernels
 from ._parallel import run_tasks
 from .errors import CapacityError, FormatError
@@ -62,13 +61,17 @@ class Tournament:
 
     @classmethod
     def from_order(cls, order) -> "Tournament":
-        """Acyclic tournament whose arcs follow the given vertex order."""
+        """Acyclic tournament whose arcs follow the given vertex order: each
+        vertex beats the vertices after it."""
         order = list(order)
         n = len(order)
+        if sorted(order) != list(range(n)):
+            raise ValueError("order must be a permutation of the vertex set")
         arcs = [0] * n
-        for a in range(n):
-            for b in range(a + 1, n):
-                arcs[order[a]] |= 1 << order[b]
+        after = (1 << n) - 1
+        for v in order:
+            after ^= 1 << v
+            arcs[v] = after
         return cls(n, tuple(arcs))
 
     @classmethod
@@ -128,31 +131,28 @@ class InversionCertificate:
 
 
 def invert(t: Tournament, vertices) -> Tournament:
-    """Reverse every arc with both endpoints in the given set."""
+    """Reverse every arc with both endpoints in the given set S: row u of
+    each u in S flips on S minus u."""
     mask = 0
     for v in vertices:
         if not 0 <= v < t.n:
             raise ValueError(f"vertex {v} outside 0..{t.n - 1}")
         mask |= 1 << v
-    arcs = list(t.arcs)
-    inside = [v for v in range(t.n) if (mask >> v) & 1]
-    for a in range(len(inside)):
-        for b in range(a + 1, len(inside)):
-            u, v = inside[a], inside[b]
-            if (arcs[u] >> v) & 1:
-                arcs[u] &= ~(1 << v)
-                arcs[v] |= 1 << u
-            else:
-                arcs[v] &= ~(1 << u)
-                arcs[u] |= 1 << v
-    return Tournament(t.n, tuple(arcs))
+    arcs = tuple(
+        row ^ mask ^ (1 << u) if (mask >> u) & 1 else row for u, row in enumerate(t.arcs)
+    )
+    return Tournament(t.n, arcs)
 
 
 def apply_inversions(t: Tournament, subsets) -> Tournament:
-    """Invert the subsets in sequence (an arc flips iff it lies in an odd number)."""
+    """Invert the subsets in sequence (an arc flips iff it lies in an odd
+    number).  A subset is a vertex iterable or a bitmask; a mask's vertices
+    get the same range check, and a negative mask is refused."""
     for subset in subsets:
         if isinstance(subset, int):
-            subset = [v for v in range(t.n) if (subset >> v) & 1]
+            if subset < 0:
+                raise ValueError(f"subset mask {subset} is negative")
+            subset = [v for v in range(subset.bit_length()) if (subset >> v) & 1]
         t = invert(t, subset)
     return t
 
@@ -171,18 +171,13 @@ def is_acyclic(t: Tournament) -> tuple[int, ...] | None:
 
 def disagreement_graph(t: Tournament, order) -> Graph:
     """Graph of pairs whose arc opposes the order; XOR-ing it into the
-    tournament yields the acyclic tournament sorted by the order."""
+    tournament yields the acyclic tournament sorted by the order, so each
+    row is the XOR of the two tournaments' rows."""
     order = list(order)
     if sorted(order) != list(range(t.n)):
         raise ValueError("order must be a permutation of the vertex set")
-    adj = [0] * t.n
-    for a in range(t.n):
-        for b in range(a + 1, t.n):
-            u, v = order[a], order[b]
-            if t.has_arc(v, u):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return Graph(t.n, tuple(adj))
+    target = Tournament.from_order(order)
+    return Graph(t.n, tuple(a ^ b for a, b in zip(t.arcs, target.arcs)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +202,7 @@ def inversion_index(
     order = is_acyclic(t)
     if order is not None:
         return 0, InversionCertificate((), order)
-    deadline = None if budget_s is None else time.monotonic() + budget_s
+    deadline = f2core._deadline(budget_s)
     probe_depth = t.n - 3 if t.n >= 8 else 0
     # Every order costs at most n, so with the incumbent n + 1 nothing is cut
     # before the first leaf, the identity order, which then sets the bound.

@@ -15,6 +15,7 @@ from booldim.graphs import complete_graph, ortho_graph_H, path_graph, write_grap
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from checks import check_graph_dims  # noqa: E402
+from corpus import ARGV  # noqa: E402
 from conftest import random_tree  # noqa: E402
 
 
@@ -161,6 +162,16 @@ def test_tournament_table_ignores_workers(capsys):
         records.append(record)
     assert records[0] == records[1]
     assert "workers" not in records[0]["params"]
+
+
+def test_benchmark_command_lines_parse():
+    # perfbench/run.py calls every corpus command with this suffix; a flag
+    # dropped from any command would fail every benchmark call.
+    parser = cli.build_parser()
+    suffix = ["--json", "--workers", "2", "--cache-dir", "DIR"]
+    for command, argv in ARGV.items():
+        args = parser.parse_args(argv + ["5"] + suffix)
+        assert (args.json, args.workers, args.cache_dir) == (True, 2, "DIR"), command
 
 
 def test_only_the_table_uses_the_cache(tmp_path, capsys):

@@ -72,9 +72,14 @@ class TestGeometric:
             m = f2core.add_diagonal(dims.adjacency_matrix(g), mask)
             assert f2core.rank(m) == value
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        # Isolated vertices do not count against the cap.
+        assert geometric_dim(Graph.empty(dims.DEFAULT_SWEEP_CAP + 1)) == (0, 0)
+        # It is checked before any search: sweeping a 27-vertex path would
+        # take about a minute.
+        monkeypatch.setattr(f2core, "minrank_sweep", lambda *a, **k: pytest.fail("swept"))
         with pytest.raises(CapacityError):
-            geometric_dim(complete_graph(10), cap=8)
+            geometric_dim(path_graph(dims.DEFAULT_SWEEP_CAP + 1))
 
 
 class TestBoolean:
@@ -109,6 +114,27 @@ class TestBoolean:
         padded = Graph.from_edges(7, g.edges())
         assert boolean_dim(padded)[0] == boolean_dim(g)[0]
         assert geometric_dim(padded)[0] == geometric_dim(g)[0]
+
+
+class TestWitnessFamily:
+    def test_clique_k_is_the_odd_overlaps_with_u_k(self):
+        # Clique k holds v exactly when row v of A + D meets u_k in an odd
+        # number of positions; the rows are built here from the edge list.
+        rng = random.Random(11)
+        for _ in range(150):
+            n = rng.randint(1, 9)
+            g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+            mask = rng.randrange(1, 1 << n)
+            rows = [((mask >> v) & 1) << v for v in range(n)]
+            for u, v in g.edges():
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            basis = f2core.orthonormal_basis(f2core.F2Matrix(n, tuple(rows)))
+            expected = tuple(
+                sum(1 << v for v in range(n) if bin(rows[v] & u).count("1") % 2)
+                for u in basis
+            )
+            assert dims.witness_family(g, mask).members == expected
 
 
 class TestOracle:

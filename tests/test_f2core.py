@@ -109,6 +109,30 @@ class TestAddDiagonal:
             assert abs(rank(add_diagonal(m, mask)) - rank(m)) <= mask.bit_count()
 
 
+class TestIsSymmetric:
+    def test_matches_entrywise_transpose(self):
+        # Oracle: compare every entry (i, j) with (j, i) on 0/1 lists.
+        rng = random.Random(16)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            rows = list(random_symmetric_rows(rng, n, zero_diagonal=False))
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                i, j = rng.randrange(n), rng.randrange(n)
+                rows[i] ^= 1 << j
+            m = F2Matrix(n, tuple(rows))
+            entries = [[(row >> j) & 1 for j in range(n)] for row in rows]
+            symmetric = all(entries[i][j] == entries[j][i] for i in range(n) for j in range(n))
+            assert m.is_symmetric() == symmetric
+
+    def test_operations_refuse_asymmetric_input(self):
+        m = F2Matrix(3, (0b010, 0b100, 0b001))  # the directed 3-cycle
+        for op in (f2core.minrank_sweep, f2core.orthonormal_basis, f2core.symplectic_pairs):
+            with pytest.raises(ValueError):
+                op(m)
+        with pytest.raises(ValueError):
+            add_diagonal(m, 0)
+
+
 class TestIsAlternating:
     def test_adjacency_always_alternating(self):
         assert is_alternating(K3) and is_alternating(P4)

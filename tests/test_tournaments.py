@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -59,11 +59,50 @@ class TestInvert:
         with pytest.raises(ValueError):
             invert(three_cycle(), [3])
 
+    def test_reverses_exactly_the_arcs_inside(self):
+        rng = random.Random(12)
+        for _ in range(60):
+            t = random_tournament(rng, rng.randint(1, 8))
+            inside = {v for v in range(t.n) if rng.random() < 0.5}
+            flipped = invert(t, sorted(inside))
+            for i in range(t.n):
+                for j in range(t.n):
+                    if i != j:
+                        both = i in inside and j in inside
+                        assert flipped.has_arc(i, j) == (t.has_arc(i, j) != both)
+
+    def test_masks_match_vertex_lists(self):
+        rng = random.Random(13)
+        for _ in range(30):
+            t = random_tournament(rng, rng.randint(1, 7))
+            masks = [rng.randrange(1 << t.n) for _ in range(3)]
+            lists = [[v for v in range(t.n) if (m >> v) & 1] for m in masks]
+            assert apply_inversions(t, masks) == apply_inversions(t, lists)
+
+    def test_masks_outside_the_vertex_range(self):
+        # A mask is not truncated to the vertex set: bit 3 of a 3-vertex
+        # tournament and a negative mask are refused like invert(t, [3]).
+        for mask in (0b1000, 0b1011, -1):
+            with pytest.raises(ValueError):
+                apply_inversions(three_cycle(), [mask])
+
 
 class TestIsAcyclic:
     def test_acyclic_order(self):
         for n in range(1, 8):
             assert is_acyclic(Tournament.acyclic(n)) == tuple(range(n))
+
+    def test_from_order_round_trips(self):
+        rng = random.Random(14)
+        for _ in range(60):
+            n = rng.randint(0, 10)
+            order = rng.sample(range(n), n)
+            assert is_acyclic(Tournament.from_order(order)) == tuple(order)
+
+    def test_from_order_rejects_non_permutations(self):
+        for order in ([0, 0], [0, 2], [1]):
+            with pytest.raises(ValueError):
+                Tournament.from_order(order)
 
     def test_three_cycle(self):
         assert is_acyclic(three_cycle()) is None
@@ -298,6 +337,25 @@ class TestEnumerationAndTable:
         for n in range(1, 6):
             brute = {canonical_form(t).arcs for t in all_tournaments_labeled(n)}
             assert sorted(brute) == [t.arcs for t in enumerate_tournaments(n)]
+
+    def test_canonical_form_is_least_row_major_string(self):
+        # Oracle: the matrix of every relabeling written out as a '0'/'1'
+        # string, row by row with j ascending, and the least one kept.
+        def least_string(t):
+            return min(
+                "".join("1" if (t.arcs[p[i]] >> p[j]) & 1 else "0"
+                        for i in range(t.n) for j in range(t.n))
+                for p in permutations(range(t.n))
+            )
+
+        def as_string(t):
+            return "".join(str((row >> j) & 1) for row in t.arcs for j in range(t.n))
+
+        rng = random.Random(15)
+        cases = [t for n in range(5) for t in all_tournaments_labeled(n)]
+        cases += [random_tournament(rng, n) for n in (5, 6) for _ in range(8)]
+        for t in cases:
+            assert as_string(canonical_form(t)) == least_string(t)
 
     def test_canonical_form_is_invariant(self):
         rng = random.Random(9)
