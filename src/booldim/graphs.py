@@ -93,16 +93,9 @@ class Graph:
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
-        seen = 1
-        frontier = 1
+        seen = frontier = 1
         while frontier:
-            nxt = 0
-            rest = frontier
-            while rest:
-                low = rest & -rest
-                nxt |= self.adj[low.bit_length() - 1]
-                rest ^= low
-            frontier = nxt & ~seen
+            frontier = _neighborhood(self.adj, frontier) & ~seen
             seen |= frontier
         return seen == (1 << self.n) - 1
 
@@ -132,6 +125,16 @@ class CliqueFamily:
             v: frozenset(i for i, c in enumerate(self.members) if (c >> v) & 1)
             for v in range(self.n)
         }
+
+
+def _neighborhood(adj, mask: int) -> int:
+    """Union of the rows adj[v] over the vertices v in mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def set_bits(mask: int) -> list[int]:
@@ -231,6 +234,22 @@ ORTHO_MAX_K = 5
 ORTHO_H_MAX_K = 4
 
 
+def _form_graph(vectors, odd) -> Graph:
+    """Graph on the listed vectors: i ~ j iff odd(vectors[i], vectors[j])."""
+    n = len(vectors)
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if odd(vectors[i], vectors[j]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return Graph(n, tuple(adj))
+
+
+def _odd_scalar_product(x: int, y: int) -> int:
+    return (x & y).bit_count() & 1
+
+
 def ortho_graph(k: int) -> Graph:
     """Non-orthogonality graph of the scalar product on all k-bit vectors.
 
@@ -241,14 +260,7 @@ def ortho_graph(k: int) -> Graph:
         raise ValueError("k must be nonnegative")
     if k > ORTHO_MAX_K:
         raise CapacityError(f"ortho_graph is capped at k = {ORTHO_MAX_K} (2^k vertices)")
-    n = 1 << k
-    adj = [0] * n
-    for x in range(n):
-        for y in range(x + 1, n):
-            if (x & y).bit_count() & 1:
-                adj[x] |= 1 << y
-                adj[y] |= 1 << x
-    return Graph(n, tuple(adj))
+    return _form_graph(range(1 << k), _odd_scalar_product)
 
 
 def ortho_graph_H(k: int) -> Graph:
@@ -263,14 +275,7 @@ def ortho_graph_H(k: int) -> Graph:
     if k > ORTHO_H_MAX_K:
         raise CapacityError(f"ortho_graph_H is capped at k = {ORTHO_H_MAX_K}")
     vectors = [x for x in range(1 << (k + 1)) if x.bit_count() % 2 == 0]
-    n = len(vectors)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (vectors[i] & vectors[j]).bit_count() & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
+    return _form_graph(vectors, _odd_scalar_product)
 
 
 def graph_of_form(m) -> Graph:
@@ -281,17 +286,9 @@ def graph_of_form(m) -> Graph:
     """
     from . import f2core
 
-    d = m.n
-    if d > ORTHO_MAX_K:
+    if m.n > ORTHO_MAX_K:
         raise CapacityError(f"graph_of_form is capped at dimension {ORTHO_MAX_K}")
-    n = 1 << d
-    adj = [0] * n
-    for x in range(n):
-        for y in range(x + 1, n):
-            if f2core.form_value(m, x, y):
-                adj[x] |= 1 << y
-                adj[y] |= 1 << x
-    return Graph(n, tuple(adj))
+    return _form_graph(range(1 << m.n), lambda x, y: f2core.form_value(m, x, y))
 
 
 # ---------------------------------------------------------------------------

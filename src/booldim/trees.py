@@ -7,6 +7,10 @@ subtrees T_i) contributes 2 + sum of the subtree optima, and a degree-2 vertex
 next to a leaf z contributes optimum(T - z) + 1.  Both reductions ship a
 decomposition witness, and every tree with at least three vertices admits one
 of the two sites on any longest path.
+
+The reductions run on the graph's bit rows restricted to a vertex mask of the
+part still alive, and ``m_star`` reduces at the site ``find_reduction``
+reports for that part.
 """
 
 from __future__ import annotations
@@ -14,15 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotATreeError
-from .graphs import CliqueFamily, Graph, path_graph, realize
+from .graphs import CliqueFamily, Graph, _neighborhood, path_graph, realize, set_bits
 
 
 @dataclass(frozen=True)
 class Tree:
-    """Connected acyclic graph plus its cached degree array."""
+    """Connected acyclic graph."""
 
     graph: Graph
-    degrees: tuple[int, ...]
 
     def __post_init__(self):
         g = self.graph
@@ -32,24 +35,26 @@ class Tree:
             raise NotATreeError(f"{g.n} vertices need {g.n - 1} edges, found {g.edge_count()}")
         if not g.is_connected():
             raise NotATreeError("graph is not connected")
-        if self.degrees != g.degrees():
-            raise ValueError("cached degrees do not match the graph")
 
     @property
     def n(self) -> int:
         return self.graph.n
 
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        return self.graph.degrees()
+
     @classmethod
     def from_graph(cls, g: Graph) -> "Tree":
-        return cls(g, g.degrees())
+        return cls(g)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Tree":
-        return cls.from_graph(Graph.from_edges(n, edges))
+        return cls(Graph.from_edges(n, edges))
 
     @classmethod
     def path(cls, n: int) -> "Tree":
-        return cls.from_graph(path_graph(n))
+        return cls(path_graph(n))
 
     @classmethod
     def star(cls, m: int) -> "Tree":
@@ -78,16 +83,9 @@ class StarDecomposition:
     stars: tuple[Star, ...]
 
     @property
-    def trivial_count(self) -> int:
-        return sum(1 for s in self.stars if len(s.leaves) == 1)
-
-    @property
-    def nontrivial_count(self) -> int:
-        return sum(1 for s in self.stars if len(s.leaves) > 1)
-
-    @property
     def value(self) -> int:
-        return self.trivial_count + 2 * self.nontrivial_count
+        """Cost: 1 per single-edge star, 2 per larger star."""
+        return sum(1 if len(s.leaves) == 1 else 2 for s in self.stars)
 
     def validate_for(self, tree: Tree) -> None:
         """Raise ValueError unless the stars exactly partition the tree's edges."""
@@ -134,39 +132,36 @@ class Base:
 
 
 # ---------------------------------------------------------------------------
-# Reduction machinery.  Internals work on adjacency dicts keyed by original
-# vertex ids so recursive witnesses come back in the caller's labels.
+# Reduction machinery.  Internals work on the tree's bit rows restricted to a
+# mask ``alive`` of the subtree still being reduced, so recursive witnesses
+# come back in the caller's labels.
 # ---------------------------------------------------------------------------
 
 
-def _adj_dict(tree: Tree) -> dict[int, set[int]]:
-    g = tree.graph
-    return {v: {w for w in range(g.n) if (g.adj[v] >> w) & 1} for v in range(g.n)}
+def _farthest(adj, alive: int, start: int) -> tuple[int, int]:
+    """Least vertex of the last BFS layer from start, and the layer before it."""
+    prev, layer, seen = 0, 1 << start, 1 << start
+    while True:
+        nxt = _neighborhood(adj, layer) & alive & ~seen
+        if not nxt:
+            return (layer & -layer).bit_length() - 1, prev
+        prev, layer = layer, nxt
+        seen |= nxt
 
 
-def _bfs_farthest(adj, start):
-    """(farthest vertex, parent map); ties broken toward least index."""
-    parent = {start: None}
-    frontier = [start]
-    last_layer = [start]
-    while frontier:
-        last_layer = frontier
-        nxt = []
-        for v in frontier:
-            for w in sorted(adj[v]):
-                if w not in parent:
-                    parent[w] = v
-                    nxt.append(w)
-        frontier = nxt
-    return min(last_layer), parent
-
-
-def _reduction_site(adj):
-    """Second-to-last vertex of the deterministic longest path, plus the end leaf."""
-    u, _ = _bfs_farthest(adj, min(adj))
-    v, parent = _bfs_farthest(adj, u)
-    x = parent[v]
-    return x, v
+def _site(adj, alive: int):
+    """Deg2 or Cherry at the second-to-last vertex of a longest path of the
+    subtree on alive (at least three vertices)."""
+    u, _ = _farthest(adj, alive, (alive & -alive).bit_length() - 1)
+    v, prev = _farthest(adj, alive, u)
+    # In a tree the end leaf v has exactly one neighbor in the layer before.
+    x = (adj[v] & prev).bit_length() - 1
+    nbrs = adj[x] & alive
+    if nbrs.bit_count() == 2:
+        return Deg2(middle=x, leaf=v)
+    leaves = tuple(w for w in set_bits(nbrs) if (adj[w] & alive).bit_count() == 1)
+    roots = tuple(w for w in set_bits(nbrs) if (adj[w] & alive).bit_count() > 1)
+    return Cherry(center=x, leaf_neighbors=leaves, subtree_roots=roots)
 
 
 def find_reduction(tree: Tree):
@@ -176,52 +171,36 @@ def find_reduction(tree: Tree):
     second-to-last vertex x of a longest path (found by double BFS from the
     least-index eccentric vertex).  Degree 2 at x gives Deg2(x, end leaf);
     degree >= 3 gives the cherry centered at x, whose non-leaf neighbors root
-    the hanging subtrees.
+    the hanging subtrees.  ``m_star`` reduces at this same site.
     """
     if tree.n <= 2:
         return Base()
-    adj = _adj_dict(tree)
-    x, v = _reduction_site(adj)
-    if len(adj[x]) == 2:
-        return Deg2(middle=x, leaf=v)
-    leaf_nbrs = tuple(sorted(w for w in adj[x] if len(adj[w]) == 1))
-    roots = tuple(sorted(w for w in adj[x] if len(adj[w]) > 1))
-    return Cherry(center=x, leaf_neighbors=leaf_nbrs, subtree_roots=roots)
+    return _site(tree.graph.adj, (1 << tree.n) - 1)
 
 
-def _component_without(adj, removed, root):
-    """Adjacency dict of the component of adj - removed containing root."""
-    comp = {root}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w != removed and w not in comp:
-                comp.add(w)
-                stack.append(w)
-    return {v: adj[v] & comp for v in comp}
-
-
-def _m_star_rec(adj) -> tuple[int, list[Star]]:
-    n = len(adj)
-    if n <= 1:
+def _m_star_rec(adj, alive: int) -> tuple[int, list[Star]]:
+    if alive.bit_count() == 1:
         return 0, []
-    if n == 2:
-        u, v = sorted(adj)
+    if alive.bit_count() == 2:
+        u, v = set_bits(alive)
         return 1, [Star(u, (v,))]
-    x, v = _reduction_site(adj)
-    if len(adj[x]) == 2:
-        rest = {w: nbrs - {v} for w, nbrs in adj.items() if w != v}
-        value, stars = _m_star_rec(rest)
-        return value + 1, stars + [Star(x, (v,))]
-    # Cherry at x: one star covers every edge at x, subtrees recurse.
+    site = _site(adj, alive)
+    if isinstance(site, Deg2):
+        value, stars = _m_star_rec(adj, alive ^ (1 << site.leaf))
+        return value + 1, stars + [Star(site.middle, (site.leaf,))]
+    # Cherry: one star covers every edge at the center, subtrees recurse.
+    x = site.center
     value = 2
-    stars = [Star(x, tuple(sorted(adj[x])))]
-    for w in sorted(adj[x]):
-        if len(adj[w]) > 1:
-            sub_value, sub_stars = _m_star_rec(_component_without(adj, x, w))
-            value += sub_value
-            stars.extend(sub_stars)
+    stars = [Star(x, tuple(set_bits(adj[x] & alive)))]
+    rest = alive ^ (1 << x)
+    for root in site.subtree_roots:
+        component = frontier = 1 << root
+        while frontier:
+            frontier = _neighborhood(adj, frontier) & rest & ~component
+            component |= frontier
+        sub_value, sub_stars = _m_star_rec(adj, component)
+        value += sub_value
+        stars.extend(sub_stars)
     return value, stars
 
 
@@ -232,7 +211,7 @@ def m_star(tree: Tree) -> tuple[int, StarDecomposition]:
     tree's edges, its clique family realizes the tree, and its cost is the
     value.
     """
-    value, stars = _m_star_rec(_adj_dict(tree))
+    value, stars = _m_star_rec(tree.graph.adj, (1 << tree.n) - 1)
     decomposition = StarDecomposition(tuple(stars))
     try:
         family = decomposition_to_cliques(tree, decomposition)
@@ -279,30 +258,16 @@ def verify_tree_theorem(tree: Tree, *, budget_s: float | None = None) -> bool:
 
 def canonical_key(tree: Tree) -> str:
     """Isomorphism-invariant encoding: AHU string rooted at the tree center."""
-    adj = _adj_dict(tree)
-    centers = _find_centers(adj)
-    return min(_ahu_encode(adj, root, None) for root in centers)
+    adj = tree.graph.adj
+    centers = (1 << tree.n) - 1
+    while centers.bit_count() > 2:
+        # Peel every leaf of the remaining tree at once.
+        centers &= ~sum(1 << v for v in set_bits(centers) if (adj[v] & centers).bit_count() == 1)
+    return min(_ahu_encode(adj, root, 0) for root in set_bits(centers))
 
 
-def _find_centers(adj) -> list[int]:
-    degrees = {v: len(nbrs) for v, nbrs in adj.items()}
-    remaining = set(adj)
-    layer = sorted(v for v in remaining if degrees[v] <= 1)
-    while len(remaining) > 2:
-        remaining -= set(layer)
-        nxt = []
-        for v in layer:
-            for w in adj[v]:
-                if w in remaining:
-                    degrees[w] -= 1
-                    if degrees[w] == 1:
-                        nxt.append(w)
-        layer = sorted(set(nxt))
-    return sorted(remaining)
-
-
-def _ahu_encode(adj, v, parent) -> str:
-    parts = sorted(_ahu_encode(adj, w, v) for w in adj[v] if w != parent)
+def _ahu_encode(adj, v: int, parent_bit: int) -> str:
+    parts = sorted(_ahu_encode(adj, w, 1 << v) for w in set_bits(adj[v] & ~parent_bit))
     return "(" + "".join(parts) + ")"
 
 

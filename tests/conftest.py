@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import product
 
 import pytest
 
@@ -27,6 +28,39 @@ def random_tree(rng: random.Random, n: int) -> Graph:
     return Graph.from_edges(n, [(perm[v], perm[rng.randrange(v)]) for v in range(1, n)])
 
 
+def star_cost_dp(g: Graph) -> int:
+    """Oracle for the tree optimum m*: the least sum of cost(load) over all
+    orientations of the edges toward a center endpoint, where a vertex with
+    load 0, 1 or >= 2 costs 0, 1 or 2 (one star per center), by dynamic
+    programming over the tree rooted at vertex 0."""
+    if g.n <= 1:
+        return 0
+    nbrs = [[w for w in range(g.n) if (g.adj[v] >> w) & 1] for v in range(g.n)]
+    parent = {0: None}
+    order = [0]
+    for v in order:
+        for w in nbrs[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    inf = float("inf")
+    # best[v][p]: least cost of v's subtree when p (0 or 1) is the load the
+    # edge to v's parent puts on v.
+    best = {}
+    for v in reversed(order):
+        by_load = [0, inf, inf]  # least cost with 0, 1, >= 2 child edges at v
+        for c in nbrs[v]:
+            if c == parent[v]:
+                continue
+            nxt = [inf, inf, inf]
+            for k in range(3):
+                nxt[k] = min(nxt[k], by_load[k] + best[c][1])
+                nxt[min(k + 1, 2)] = min(nxt[min(k + 1, 2)], by_load[k] + best[c][0])
+            by_load = nxt
+        best[v] = tuple(min(by_load[k] + min(k + p, 2) for k in range(3)) for p in (0, 1))
+    return best[0][0]
+
+
 def random_symmetric_rows(rng: random.Random, n: int, zero_diagonal: bool = True):
     rows = [0] * n
     for i in range(n):
@@ -36,6 +70,24 @@ def random_symmetric_rows(rng: random.Random, n: int, zero_diagonal: bool = True
             if rng.random() < 0.5:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
+    return tuple(rows)
+
+
+def row_tuples(n: int):
+    """Every tuple of n rows drawn from -1..2^(n+1)-1 (one value below and
+    2^n values above the vertex range)."""
+    return product(range(-1, 1 << (n + 1)), repeat=n)
+
+
+def perturbed(rng: random.Random, rows):
+    """rows, or rows with one bit (i, j) flipped for 0 <= i < n, 0 <= j <= n,
+    or one row made negative."""
+    rows = list(rows)
+    roll = rng.random()
+    if roll < 0.1:
+        rows[rng.randrange(len(rows))] = -1
+    elif roll < 0.8:
+        rows[rng.randrange(len(rows))] ^= 1 << rng.randint(0, len(rows))
     return tuple(rows)
 
 

@@ -14,9 +14,9 @@ from booldim.graphs import complete_graph, ortho_graph_H, path_graph, write_grap
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from checks import check_graph_dims  # noqa: E402
+from checks import check_graph_dims, check_tree_mstar, check_tree_verify  # noqa: E402
 from corpus import ARGV  # noqa: E402
-from conftest import random_tree  # noqa: E402
+from conftest import random_tree, star_cost_dp  # noqa: E402
 
 
 @pytest.fixture()
@@ -99,6 +99,31 @@ def test_tree_verify(tmp_path, cache_dir, capsys):
     code, out, _ = run(capsys, "tree", "verify", "--edges", str(edges))
     assert code == 0
     assert "EQUAL" in out
+
+
+@pytest.mark.parametrize(
+    "command, check, max_n, count",
+    [("tree mstar", check_tree_mstar, 62, 60), ("tree verify", check_tree_verify, 16, 20)],
+    ids=["mstar", "verify"],
+)
+def test_tree_records_pass_independent_check(
+    tmp_path, cache_dir, capsys, command, check, max_n, count
+):
+    # The benchmark's own checks compare each record with the golden m of
+    # the load DP oracle and, for mstar, replay the star witness against the
+    # input graph.  Their graph6 decoder reads the short form only, so the
+    # mstar trees stop at 62 vertices.
+    rng = random.Random(max_n)
+    sizes = [rng.randint(1, max_n) for _ in range(count)] + [max_n]
+    path = tmp_path / "t.g6"
+    for n in sizes:
+        g = random_tree(rng, n)
+        g6 = write_graph6(g)
+        path.write_text(g6 + "\n")
+        code, out, _ = run(capsys, *command.split(), "--graph6", str(path), "--json")
+        assert code == 0
+        item = {"command": command, "golden": {"m": star_cost_dp(g)}}
+        assert check(item, json.loads(out), g6) is None, g6
 
 
 def test_tournament_index_family(cache_dir, capsys):

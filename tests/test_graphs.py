@@ -29,7 +29,42 @@ from booldim.graphs import (
     write_edge_list,
     write_graph6,
 )
-from conftest import random_graph
+from conftest import perturbed, random_graph, random_symmetric_rows, row_tuples
+
+
+class TestGraphRows:
+    @staticmethod
+    def valid(rows) -> bool:
+        """Oracle: rows inside the vertex range, no loop, symmetric pairs."""
+        n = len(rows)
+        if not all(0 <= row < 1 << n for row in rows):
+            return False
+        bit = [[(row >> j) & 1 for j in range(n)] for row in rows]
+        return all(
+            bit[i][j] == bit[j][i] and not bit[i][i] for i in range(n) for j in range(n)
+        )
+
+    def check(self, rows):
+        if self.valid(rows):
+            assert Graph(len(rows), rows).adj == rows
+        else:
+            with pytest.raises(ValueError):
+                Graph(len(rows), rows)
+
+    def test_every_row_tuple_to_3(self):
+        for n in range(4):
+            for rows in row_tuples(n):
+                self.check(rows)
+
+    def test_random_perturbed_rows_to_8(self):
+        rng = random.Random(8)
+        for _ in range(3000):
+            rows = random_symmetric_rows(rng, rng.randint(1, 8))
+            self.check(perturbed(rng, rows))
+
+    def test_asymmetric_rows_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            Graph(2, (0b10, 0b00))
 
 
 class TestBooleanSum:

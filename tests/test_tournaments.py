@@ -26,11 +26,47 @@ from booldim.tournaments import (
     max_inversion_table,
     three_cycles_through,
 )
-from conftest import all_tournaments_labeled, random_tournament
+from conftest import all_tournaments_labeled, perturbed, random_tournament, row_tuples
 
 
 def three_cycle() -> Tournament:
     return Tournament(3, (0b010, 0b100, 0b001))
+
+
+class TestTournamentRows:
+    @staticmethod
+    def valid(rows) -> bool:
+        """Oracle: rows inside the vertex range, no self-arc, and exactly one
+        arc between every pair."""
+        n = len(rows)
+        if not all(0 <= row < 1 << n for row in rows):
+            return False
+        bit = [[(row >> j) & 1 for j in range(n)] for row in rows]
+        return all(bit[i][j] + bit[j][i] == (i != j) for i in range(n) for j in range(n))
+
+    def check(self, rows):
+        if self.valid(rows):
+            assert Tournament(len(rows), rows).arcs == rows
+        else:
+            with pytest.raises(ValueError):
+                Tournament(len(rows), rows)
+
+    def test_every_row_tuple_to_3(self):
+        for n in range(4):
+            for rows in row_tuples(n):
+                self.check(rows)
+
+    def test_random_perturbed_rows_to_8(self):
+        rng = random.Random(8)
+        for _ in range(3000):
+            rows = random_tournament(rng, rng.randint(1, 8)).arcs
+            self.check(perturbed(rng, rows))
+
+    def test_pair_with_two_arcs_or_none_rejected(self):
+        with pytest.raises(ValueError, match="exactly one arc"):
+            Tournament(2, (0b10, 0b01))
+        with pytest.raises(ValueError, match="exactly one arc"):
+            Tournament(2, (0b00, 0b00))
 
 
 class TestInvert:

@@ -11,7 +11,7 @@ import pytest
 from booldim import dims, trees
 from booldim.dims import boolean_dim, ind_mod2
 from booldim.errors import BudgetExceededError, NotATreeError
-from booldim.graphs import Graph, cycle_graph, realize
+from booldim.graphs import MAX_VERTICES, Graph, cycle_graph, realize
 from booldim.trees import (
     Base,
     Cherry,
@@ -26,7 +26,7 @@ from booldim.trees import (
     m_star,
     verify_tree_theorem,
 )
-from conftest import random_tree
+from conftest import random_tree, star_cost_dp
 
 
 def exhaustive_m(tree: Tree) -> int:
@@ -47,6 +47,17 @@ def exhaustive_m(tree: Tree) -> int:
 
 def spider() -> Tree:
     return Tree.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+
+
+def random_trees_to_max_n() -> list[Tree]:
+    """Seeded random trees with 1..MAX_VERTICES vertices, the largest size
+    included, plus the extreme path and star."""
+    rng = random.Random(64)
+    sizes = [rng.randint(1, MAX_VERTICES) for _ in range(150)] + [MAX_VERTICES] * 5
+    return [Tree(random_tree(rng, n)) for n in sizes] + [
+        Tree.path(MAX_VERTICES),
+        Tree.star(MAX_VERTICES - 1),
+    ]
 
 
 class TestTreeType:
@@ -86,6 +97,39 @@ class TestFindReduction:
         red = find_reduction(t)
         assert isinstance(red, (Cherry, Deg2))
 
+    def test_site_pinned(self):
+        # The deterministic choice: the end of the double BFS from the least
+        # vertex, ties toward the least index.
+        assert find_reduction(Tree.path(4)) == Deg2(middle=1, leaf=0)
+        fork = Tree.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+        assert find_reduction(fork) == Cherry(center=0, leaf_neighbors=(1, 2), subtree_roots=(3,))
+
+    def test_site_ends_a_longest_path(self):
+        # Checked against networkx eccentricities: the site sits next to a
+        # leaf v whose eccentricity is the diameter, and it splits its
+        # neighborhood by degree.
+        for tree in random_trees_to_max_n():
+            red = find_reduction(tree)
+            if tree.n <= 2:
+                assert isinstance(red, Base)
+                continue
+            g = nx.Graph(tree.graph.edges())
+            ecc = nx.eccentricity(g)
+            diameter = max(ecc.values())
+            if isinstance(red, Deg2):
+                x, ends = red.middle, [red.leaf]
+                assert g.degree[x] == 2
+            else:
+                assert isinstance(red, Cherry)
+                x, ends = red.center, list(red.leaf_neighbors)
+                assert g.degree[x] != 2
+                nbrs = sorted(g[x])
+                assert red.leaf_neighbors == tuple(w for w in nbrs if g.degree[w] == 1)
+                assert red.subtree_roots == tuple(w for w in nbrs if g.degree[w] > 1)
+            assert any(
+                g.degree[v] == 1 and ecc[v] == diameter and g.has_edge(x, v) for v in ends
+            )
+
 
 class TestMStar:
     def test_two_vertices(self):
@@ -104,19 +148,32 @@ class TestMStar:
         assert exhaustive_m(spider()) == 5
         assert m_star(spider())[0] == 5
 
+    def test_spider_witness_pinned(self):
+        assert m_star(spider())[1].stars == (
+            Star(0, (1, 3, 5)),
+            Star(1, (2,)),
+            Star(5, (6,)),
+            Star(3, (4,)),
+        )
+
     def test_matches_exhaustive_oracle_all_trees_to_9(self):
         for n in range(1, 10):
             for tree in enumerate_trees(n):
                 value, decomposition = m_star(tree)
                 decomposition.validate_for(tree)
                 assert decomposition.value == value
-                assert value == exhaustive_m(tree)
+                assert value == exhaustive_m(tree) == star_cost_dp(tree.graph)
+
+    def test_matches_load_dp_on_random_trees_to_max_n(self):
+        for tree in random_trees_to_max_n():
+            value, decomposition = m_star(tree)
+            assert value == decomposition.value == star_cost_dp(tree.graph)
 
     def test_planted_wrong_witness_raises(self, monkeypatch):
         recurse = trees._m_star_rec
 
-        def drop_one(adj):
-            value, stars = recurse(adj)
+        def drop_one(*args):
+            value, stars = recurse(*args)
             return value, stars[1:]
 
         monkeypatch.setattr(trees, "_m_star_rec", drop_one)
@@ -240,6 +297,12 @@ def test_canonical_key_separates_and_identifies():
             8, [(perm[u], perm[v]) for u, v in tree.graph.edges()]
         )
         assert canonical_key(relabeled) == canonical_key(tree)
+
+
+def test_canonical_key_is_rooted_at_a_center():
+    assert canonical_key(Tree.path(3)) == "(()())"
+    assert canonical_key(Tree.path(4)) == "((())())"
+    assert canonical_key(Tree.star(3)) == "(()()())"
 
 
 def test_m_equals_ind_and_boolean_means_minrank_too():
