@@ -12,8 +12,8 @@ from itertools import permutations
 
 from .errors import BudgetExceededError
 
-# The diagonal search polls the deadline at its first node and then every
-# 1024 nodes.
+# The diagonal and order searches poll the deadline at their first node and
+# then every 1024 nodes.
 _CHECK_MASK = 0x3FF
 
 
@@ -99,13 +99,14 @@ def diagonal_sweep(rows, n: int, cap: int, stop_at: int = 0, deadline: float | N
 # ---------------------------------------------------------------------------
 
 
-def _cheap_dim_bound(dis, n: int) -> int:
+def _prefix_bound(dis, n: int, exact: bool) -> int:
     """Lower bound on the final boolean cost from a partial disagreement graph.
 
     0 for no edges; 1 when the edges so far form exactly a clique on their
-    support (the only graphs of dimension 1); else 2.  Sound because the
-    boolean dimension is monotone under induced subgraphs and the prefix
-    subgraph is already final.
+    support (the only graphs of dimension 1); with ``exact``, 3 when the
+    graph has no realization by two cliques (see _cost_at_most_2); else 2.
+    Sound because the boolean dimension is monotone under induced subgraphs
+    and the prefix subgraph is already final.
     """
     support = 0
     for v in range(n):
@@ -116,8 +117,65 @@ def _cheap_dim_bound(dis, n: int) -> int:
     for v in range(n):
         bit = 1 << v
         if support & bit and dis[v] != support ^ bit:
+            if exact and not _cost_at_most_2(dis, support):
+                return 3
             return 2
     return 1
+
+
+def _cost_at_most_2(rows, support: int) -> bool:
+    """Whether the graph with adjacency ``rows`` is the XOR of two cliques.
+
+    ``support`` is its set S of non-isolated vertices.  Two cliques give each
+    vertex of S a code X (10), Y (01) or Z (11): N[x] = X | Z, N[y] = Y | Z
+    and N(z) = X | Y, and the diagonal mask D = X | Y makes A + D the Gram
+    matrix of the codes, of rank at most 2.  Conversely a nonzero D with
+    rank(A + D) <= 2 factors A + D into two cliques.  The least vertex v0 of
+    S fixes D up to two candidates: D = N(v0) if v0 is in Z; otherwise (say
+    v0 in X) Y = S - N[v0], and Z = N[y0] - Y for the least y0 in Y, or,
+    with Y empty, D = N(u) for the least u with N[u] != S (such a u is in Z),
+    or D = S when S is a clique.
+    """
+    v0 = (support & -support).bit_length() - 1
+    if _rank_at_most_2(rows, support, rows[v0]):
+        return True
+    y = support & ~rows[v0] & ~(1 << v0)
+    if y:
+        y0 = (y & -y).bit_length() - 1
+        mask = support & ~(rows[y0] | (1 << y0)) | y
+    else:
+        mask = support
+        rest = support
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            row = rows[bit.bit_length() - 1]
+            if row | bit != support:
+                mask = row
+                break
+    return _rank_at_most_2(rows, support, mask)
+
+
+def _rank_at_most_2(rows, support: int, mask: int) -> bool:
+    """Whether the rows of A + D on ``support`` (D the diagonal ``mask``)
+    span at most two dimensions: every row is 0, a, b or a ^ b, where a and b
+    are the first two distinct nonzero rows.  Rows off the support are zero
+    when ``mask`` lies inside it."""
+    a = b = 0
+    rest = support
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        row = rows[bit.bit_length() - 1] ^ (mask & bit)
+        if row == 0 or row == a or row == b or row == a ^ b:
+            continue
+        if not a:
+            a = row
+        elif not b:
+            b = row
+        else:
+            return False
+    return True
 
 
 def inversion_search(
@@ -133,9 +191,13 @@ def inversion_search(
     disagreement graph (pairs whose arc opposes the order) gets its boolean
     cost from a diagonal search capped at the running best.  A prefix is
     abandoned when a lower bound on any completion already meets the running
-    best: the cheap 0/1/2 bound at every node, plus the exact boolean cost of
-    the prefix subgraph at every depth from ``probe_depth`` on (0 disables the
-    probe).
+    best.  The bound is 0/1/2 by a cheap clique test at every node and, while
+    the best is 3, 3 by an exact test for cost <= 2 on prefixes of four or
+    more vertices.  While the best is 4 or more, the exact boolean cost of
+    the prefix subgraph from a diagonal search serves as the bound at every
+    depth from ``probe_depth`` on (0 disables this probe).  The search polls
+    the deadline at its first node and then every 1024 nodes, besides the
+    polls of its diagonal searches.
 
     Returns (best, perm, mask) for the lexicographically first order strictly
     below ``incumbent``, or None.
@@ -150,9 +212,13 @@ def inversion_search(
     dis = [0] * n
     perm = []
     used = 0
+    nodes = 0
 
     def rec(depth):
-        nonlocal best, best_perm, best_mask
+        nonlocal best, best_perm, best_mask, nodes
+        if not nodes & _CHECK_MASK:
+            _check_deadline(deadline)
+        nodes += 1
         if depth == n:
             cost, mask = diagonal_sweep(dis, n, best, 1, deadline)
             if mask >= 0:
@@ -165,9 +231,11 @@ def inversion_search(
                 continue
             new_edges = arcs[v] & used
             _place(v, new_edges)
-            bound = _cheap_dim_bound(dis, n)
+            # The exact test starts at four placed vertices: every graph on
+            # three costs at most 2.
+            bound = _prefix_bound(dis, n, best == 3 and depth >= 3)
             keep_going = True
-            if bound < best and probe_depth and probe_depth <= depth + 1 < n:
+            if best > 3 and probe_depth and probe_depth <= depth + 1 < n:
                 if _prefix_dim_at_least(best):
                     bound = best
             if bound < best:

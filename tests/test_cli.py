@@ -14,7 +14,12 @@ from booldim.graphs import complete_graph, ortho_graph_H, path_graph, write_grap
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from checks import check_graph_dims, check_tree_mstar, check_tree_verify  # noqa: E402
+from checks import (  # noqa: E402
+    check_graph_dims,
+    check_tournament_index,
+    check_tree_mstar,
+    check_tree_verify,
+)
 from corpus import ARGV  # noqa: E402
 from conftest import random_tree, star_cost_dp  # noqa: E402
 
@@ -134,6 +139,26 @@ def test_tournament_index_family(cache_dir, capsys):
     rec = json.loads(out)
     assert rec["result"]["index"] == 2
     assert len(rec["witness"]["subsets"]) == 2
+
+
+GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "golden.json").read_text())
+TOURNAMENT_POOL = [
+    pytest.param(item, id=f"{family}:{n}:{k}")
+    for family in ("c3sum", "cn", "strongpath", "tournament")
+    for n, pool in GOLDEN["pools"][family].items()
+    for k, item in enumerate(pool)
+]
+
+
+@pytest.mark.parametrize("item", TOURNAMENT_POOL)
+def test_tournament_index_records_pass_independent_check(tmp_path, cache_dir, capsys, item):
+    # The benchmark's golden index and its own replay of the inversions, on
+    # every tournament the benchmark draws from.
+    path = tmp_path / "t.txt"
+    path.write_text(item["input"])
+    code, out, _ = run(capsys, "tournament", "index", "--file", str(path), "--json")
+    assert code == 0
+    assert check_tournament_index(item, json.loads(out), item["input"]) is None
 
 
 def test_tournament_table_uses_cache(cache_dir, capsys):

@@ -7,8 +7,9 @@ from itertools import combinations, permutations
 
 import pytest
 
+from booldim import _kernels_py, dims
 from booldim.errors import BudgetExceededError, CapacityError, FormatError
-from booldim.graphs import realize, CliqueFamily
+from booldim.graphs import Graph, realize, CliqueFamily
 from booldim.tournaments import (
     Tournament,
     apply_inversions,
@@ -210,11 +211,107 @@ class TestInversionIndex:
 
     def test_budget_expires_mid_search(self, clock_jump):
         # Every diagonal search polls the deadline at its first node, and the
-        # order search runs hundreds of them.
+        # order search on strongpath:8 runs over a thousand of them.
         clock = clock_jump(50)
         with pytest.raises(BudgetExceededError):
-            inversion_index(gen_strong_path(7), budget_s=3600)
+            inversion_index(gen_strong_path(8), budget_s=3600)
         assert clock.reads == 51
+
+    def test_budget_holds_without_diagonal_search_polls(self, clock_jump, monkeypatch):
+        # With diagonal searches that never poll, the order search's own polls
+        # (its first node, then every 1024 nodes) must still end the run.
+        sweep = _kernels_py.diagonal_sweep
+
+        def unpolled(rows, n, cap, stop_at=0, deadline=None):
+            return sweep(rows, n, cap, stop_at)
+
+        monkeypatch.setattr(_kernels_py, "diagonal_sweep", unpolled)
+        clock = clock_jump(1)
+        with pytest.raises(BudgetExceededError):
+            inversion_index(gen_strong_path(8), budget_s=3600)
+        assert clock.reads == 2
+
+
+def labeled_graphs(n: int):
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [pair for t, pair in enumerate(pairs) if (mask >> t) & 1])
+
+
+def cost_at_most_2(rows) -> bool:
+    support = 0
+    for v, row in enumerate(rows):
+        if row:
+            support |= 1 << v
+    return not support or _kernels_py._cost_at_most_2(rows, support)
+
+
+class TestCostAtMostTwo:
+    """The order search's exact test for boolean cost <= 2."""
+
+    def test_matches_family_oracle_to_5(self):
+        for n in range(6):
+            for g in labeled_graphs(n):
+                assert cost_at_most_2(g.adj) == (dims.boolean_dim_oracle(g, 2) is not None), g.adj
+
+    def test_matches_diagonal_search_at_6(self):
+        for g in labeled_graphs(6):
+            expected = _kernels_py.diagonal_sweep(g.adj, 6, 3, 2)[1] >= 0
+            assert cost_at_most_2(g.adj) == expected, g.adj
+
+    def test_matches_diagonal_search_on_clique_sums_7_to_10(self):
+        # XORs of one to three random cliques: most cost <= 2, the rest 3.
+        rng = random.Random(16)
+        seen = set()
+        for _ in range(3000):
+            n = rng.randint(7, 10)
+            rows = [0] * n
+            for _ in range(rng.randint(1, 3)):
+                clique = sum(1 << v for v in range(n) if rng.random() < 0.5)
+                for v in range(n):
+                    if (clique >> v) & 1:
+                        rows[v] ^= clique ^ (1 << v)
+            expected = _kernels_py.diagonal_sweep(rows, n, 3, 2)[1] >= 0
+            assert cost_at_most_2(rows) == expected, rows
+            seen.add(expected)
+        assert seen == {True, False}
+
+
+def brute_index(t: Tournament):
+    """Least boolean dimension of the disagreement graph over all n! orders,
+    with the lexicographically first order attaining it."""
+    best = None
+    for order in permutations(range(t.n)):
+        value = dims.boolean_dim(disagreement_graph(t, order))[0]
+        if best is None or value < best[0]:
+            best = (value, order)
+    return best
+
+
+class TestOrderSearch:
+    def test_matches_brute_force_over_orders(self):
+        rng = random.Random(17)
+        cases = [random_tournament(rng, n) for n in range(1, 7) for _ in range(3)]
+        cases += [gen_strong_path(n) for n in range(1, 7)]
+        cases += [gen_antichain_cn(n) for n in range(3, 7)]
+        for t in cases:
+            value, cert = inversion_index(t)
+            assert (value, cert.order) == brute_index(t), t.arcs
+
+    def test_strong_path_7_needs_few_diagonal_searches(self, monkeypatch):
+        # Its index is 3, and the exact cost-<=-2 bound cuts almost every
+        # prefix before a leaf; without it all 5,040 orders reach one.
+        calls = 0
+        sweep = _kernels_py.diagonal_sweep
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return sweep(*args)
+
+        monkeypatch.setattr(_kernels_py, "diagonal_sweep", counted)
+        assert inversion_index(gen_strong_path(7))[0] == 3
+        assert calls <= 100
 
 
 class TestOracle:
