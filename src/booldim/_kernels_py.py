@@ -178,37 +178,30 @@ def _rank_at_most_2(rows, support: int, mask: int) -> bool:
     return True
 
 
-def inversion_search(
-    arcs,
-    n: int,
-    incumbent: int,
-    probe_depth: int = 0,
-    deadline: float | None = None,
-):
-    """Scan target orders for a disagreement graph of cost below ``incumbent``.
+def inversion_search(arcs, n: int, deadline: float | None = None):
+    """The least boolean cost of a disagreement graph over the target orders
+    of an n-vertex tournament, n >= 1.
 
     Orders are visited lexicographically; for each complete order the
     disagreement graph (pairs whose arc opposes the order) gets its boolean
-    cost from a diagonal search capped at the running best.  A prefix is
+    cost from a diagonal search capped at the running best.  Every order
+    costs at most n, so the incumbent n + 1 cuts nothing before the first
+    leaf, the identity order, which then sets the best.  A prefix is
     abandoned when a lower bound on any completion already meets the running
     best.  The bound is 0/1/2 by a cheap clique test at every node and, while
     the best is 3, 3 by an exact test for cost <= 2 on prefixes of four or
-    more vertices.  While the best is 4 or more, the exact boolean cost of
-    the prefix subgraph from a diagonal search serves as the bound at every
-    depth from ``probe_depth`` on (0 disables this probe).  The search polls
-    the deadline at its first node and then every 1024 nodes, besides the
-    polls of its diagonal searches.
+    more vertices.  For n >= 8, while the best is 4 or more, the exact
+    boolean cost of the prefix subgraph from a diagonal search serves as the
+    bound at every depth from n - 3 on.  The search polls the deadline at its
+    first node and then every 1024 nodes, besides the polls of its diagonal
+    searches.
 
-    Returns (best, perm, mask) for the lexicographically first order strictly
-    below ``incumbent``, or None.
+    Returns (best, perm, mask) for the lexicographically first optimal order.
     """
-    best = incumbent
+    best = n + 1
     best_perm = None
     best_mask = -1
-    if best <= 1:
-        # An improvement would mean cost 0, i.e. the order is a topological
-        # order; cost 0 is handled by the caller via the acyclicity check.
-        return None
+    probe_depth = n - 3 if n >= 8 else 0
     dis = [0] * n
     perm = []
     used = 0
@@ -282,8 +275,6 @@ def inversion_search(
         return diagonal_sweep(sub, p, threshold, threshold - 1, deadline)[1] < 0
 
     rec(0)
-    if best_perm is None:
-        return None
     return best, best_perm, best_mask
 
 

@@ -21,7 +21,7 @@ from itertools import combinations
 from . import _kernels_py, f2core
 from .errors import CapacityError
 from .f2core import F2Matrix
-from .graphs import CliqueFamily, Graph, realize, validate_representation
+from .graphs import CliqueFamily, Graph, realize, set_bits, validate_representation
 
 #: The pruned diagonal search still grows exponentially on its worst inputs (a
 #: 16-vertex path takes about 33k nodes), so cap it: a stray huge input fails
@@ -97,14 +97,14 @@ def symplectic_dim(g: Graph) -> int:
 
 def _core_sweep(g: Graph, budget_s: float | None):
     """One diagonal search on the isolated-free core (isolated vertices never
-    help), with the core and its vertex mapping back to g.  A core of more than
+    help), with the core's vertex mapping back to g.  A core of more than
     DEFAULT_SWEEP_CAP vertices is refused before any search."""
     core_g, core = _isolated_free_core(g)
     if core_g.n > DEFAULT_SWEEP_CAP:
         raise CapacityError(
             f"diagonal sweep capped at {DEFAULT_SWEEP_CAP} non-isolated vertices, got {core_g.n}"
         )
-    return core_g, core, f2core.minrank_sweep(adjacency_matrix(core_g), budget_s=budget_s)
+    return core, f2core.minrank_sweep(adjacency_matrix(core_g), budget_s=budget_s)
 
 
 def _geometric_witness(g: Graph, core: list[int], sweep: f2core.Sweep) -> int:
@@ -115,11 +115,11 @@ def _geometric_witness(g: Graph, core: list[int], sweep: f2core.Sweep) -> int:
     return mask
 
 
-def _boolean_witness(g: Graph, core_g: Graph, core: list[int], sweep: f2core.Sweep) -> CliqueFamily:
-    """The boolean clique family lifted to g, checked to have the boolean
-    value as its size and to realize g."""
-    family = witness_family(core_g, sweep.boolean_mask)
-    family = CliqueFamily(g.n, tuple(_lift_mask(c, core) for c in family.members))
+def _boolean_witness(g: Graph, core: list[int], sweep: f2core.Sweep) -> CliqueFamily:
+    """The clique family of the boolean mask lifted to g, checked to have the
+    boolean value as its size and to realize g.  Isolated vertices have zero
+    rows and a zero diagonal bit, so the elimination never touches them."""
+    family = witness_family(g, _lift_mask(sweep.boolean_mask, core))
     if len(family) != sweep.boolean:
         raise AssertionError("clique witness size differs from the boolean dimension")
     if realize(family).adj != g.adj:
@@ -134,7 +134,7 @@ def geometric_dim(g: Graph, *, budget_s: float | None = None) -> tuple[int, int]
 
     The witness is the first mask in Gray-code order attaining the minimum.
     """
-    _, core, sweep = _core_sweep(g, budget_s)
+    core, sweep = _core_sweep(g, budget_s)
     return sweep.geometric, _geometric_witness(g, core, sweep)
 
 
@@ -142,20 +142,21 @@ def boolean_dim(g: Graph, *, budget_s: float | None = None) -> tuple[int, Clique
     """Least number of cliques whose XOR is the graph, with a witness family.
 
     Computed as the least rank over the nonzero diagonal masks (see
-    f2core.minrank_sweep); the witness family is read off an orthonormal
-    factorization of the optimal Gram matrix, one clique per coordinate.
+    f2core.minrank_sweep); the witness family is read off a factorization
+    A + D = M^T M of the optimal Gram matrix (see witness_family), one clique
+    per row of M.
     """
-    core_g, core, sweep = _core_sweep(g, budget_s)
-    return sweep.boolean, _boolean_witness(g, core_g, core, sweep)
+    core, sweep = _core_sweep(g, budget_s)
+    return sweep.boolean, _boolean_witness(g, core, sweep)
 
 
 def dimension_report(g: Graph, *, budget_s: float | None = None) -> DimensionReport:
     """All four dimensions, the trichotomy case, and both witnesses, from one
     diagonal search.  Both witnesses are checked before they are returned."""
     symp = symplectic_dim(g)
-    core_g, core, sweep = _core_sweep(g, budget_s)
+    core, sweep = _core_sweep(g, budget_s)
     geo, diag = sweep.geometric, _geometric_witness(g, core, sweep)
-    boo, cliques = sweep.boolean, _boolean_witness(g, core_g, core, sweep)
+    boo, cliques = sweep.boolean, _boolean_witness(g, core, sweep)
     if geo == boo == symp:
         case = TrichotomyCase.ALL_EQUAL
     elif geo == symp == boo - 1:
@@ -181,16 +182,56 @@ def dimension_report(g: Graph, *, budget_s: float | None = None) -> DimensionRep
 
 
 def witness_family(g: Graph, mask: int) -> CliqueFamily:
-    """Clique family realizing g, read off the Gram matrix A + mask.
+    """Clique family realizing g: a factorization B = M^T M over GF(2) of
+    B = A + mask with rank(B) rows, one clique per row (Lempel, SIAM J.
+    Comput. 4, 1975).
 
-    The mask must be nonzero unless g has no edges, so that B = A + mask is
-    not alternating.  Against an orthonormal basis u_1..u_r of B, vertex v
-    lies in clique k iff phi(e_v, u_k) = 1, so the clique is the image
-    C_k = B u_k, and the r cliques realize g.
+    A symmetric elimination on the bit rows of B.  While some row v has its
+    diagonal bit (the least such v), its row c is a clique, and B + c c^T,
+    one rank lower, XORs c into every row w in c.  The alternating rest is
+    split into pairs: for the least nonzero row a and the least bit b of it,
+    r_a goes into every row with bit b and r_b into every row with bit a,
+    which zeroes rows a and b and keeps (r_a, r_b).  Each pair is merged
+    with the last clique u as u + r_a, u + r_b and then u + r_a + r_b: the
+    isometry {u, a, b} -> {u + a, u + b, u + a + b} turns one orthonormal
+    vector and a hyperbolic pair into three orthonormal vectors.
+
+    The mask must lie in 0..2^n - 1 and be nonzero unless g has no edges:
+    an alternating nonzero B has no such factorization.
     """
-    m = f2core.add_diagonal(adjacency_matrix(g), mask)
-    basis = f2core.orthonormal_basis(m)
-    return CliqueFamily(g.n, tuple(f2core._image(m, u) for u in basis))
+    if not 0 <= mask < (1 << g.n):
+        raise ValueError("diagonal mask does not match the matrix size")
+    if not mask and any(g.adj):
+        raise ValueError("A + D is alternating for mask 0; no clique family factors it")
+    rows = [row | (mask & (1 << v)) for v, row in enumerate(g.adj)]
+    cliques = []
+    diagonal = mask  # bit v is the diagonal entry of row v
+    while diagonal:
+        c = rows[(diagonal & -diagonal).bit_length() - 1]
+        cliques.append(c)
+        # Each w in c flips its diagonal bit, and the pivot's row becomes 0.
+        diagonal ^= c
+        for w in set_bits(c):
+            rows[w] ^= c
+    pairs = []
+    for a in range(g.n):
+        ra = rows[a]
+        if ra:
+            rb = rows[(ra & -ra).bit_length() - 1]
+            # By symmetry the rows with bit b are the bits of r_b, and those
+            # with bit a the bits of r_a, both read before the update.
+            for x in set_bits(rb):
+                rows[x] ^= ra
+            for x in set_bits(ra):
+                rows[x] ^= rb
+            pairs.append((ra, rb))
+    if pairs:
+        u = cliques.pop()
+        for ra, rb in pairs:
+            cliques += (u ^ ra, u ^ rb)
+            u ^= ra ^ rb
+        cliques.append(u)
+    return CliqueFamily(g.n, tuple(cliques))
 
 
 # ---------------------------------------------------------------------------

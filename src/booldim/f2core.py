@@ -3,8 +3,7 @@
 Matrices are immutable: n bit-rows packed into Python ints (bit j of row i is
 entry (i, j)), capped at n = 64.  This module owns rank computation, diagonal
 perturbation, the diagonal-mask search behind the geometric and boolean
-dimensions, the orthonormal basis extraction used to build representation
-witnesses, and hyperbolic-pair extraction for alternating forms.
+dimensions, and the bilinear form of a symmetric matrix.
 """
 
 from __future__ import annotations
@@ -100,7 +99,13 @@ def is_alternating(m: F2Matrix) -> bool:
 
 
 def _deadline(budget_s: float | None) -> float | None:
-    return None if budget_s is None else time.monotonic() + budget_s
+    """The monotonic-clock deadline of a search with ``budget_s`` seconds
+    (None: unbounded).  A NaN or negative budget is malformed input."""
+    if budget_s is None:
+        return None
+    if not budget_s >= 0:
+        raise ValueError(f"budget must be a nonnegative number of seconds, got {budget_s}")
+    return time.monotonic() + budget_s
 
 
 class Sweep(NamedTuple):
@@ -134,10 +139,11 @@ def minrank_sweep(m: F2Matrix, *, budget_s: float | None = None) -> Sweep:
     _require_symmetric(m)
     if not is_alternating(m):
         raise ValueError("diagonal sweep expects a zero-diagonal matrix")
+    deadline = _deadline(budget_s)
     r0 = rank(m)
     if r0 == 0:
         return Sweep(0, 0, 0, 0)
-    h, mask = kernels.diagonal_sweep(m.rows, m.n, r0 + 2, 0, _deadline(budget_s))
+    h, mask = kernels.diagonal_sweep(m.rows, m.n, r0 + 2, 0, deadline)
     geometric = (r0, 0) if r0 <= h else (h, mask)
     return Sweep(*geometric, h, mask)
 
@@ -148,10 +154,6 @@ def inner_cost_sweep(m: F2Matrix, *, budget_s: float | None = None) -> tuple[int
     return sweep.boolean, sweep.boolean_mask
 
 
-# ---------------------------------------------------------------------------
-# Basis extraction for representation witnesses
-# ---------------------------------------------------------------------------
-#
 # Vectors below are coefficient bitmasks over the standard basis e_0..e_{n-1};
 # the bilinear form of a symmetric matrix B evaluates as
 # phi(x, y) = parity(x & (B y)).
@@ -170,81 +172,3 @@ def _image(m: F2Matrix, y: int) -> int:
 def form_value(m: F2Matrix, x: int, y: int) -> int:
     """phi(x, y) for the symmetric bilinear form with Gram matrix m."""
     return (x & _image(m, y)).bit_count() & 1
-
-
-def orthonormal_basis(m: F2Matrix) -> list[int]:
-    """Orthonormal basis of a complement of the radical of a non-alternating form.
-
-    Returns rank(m) vectors u_k with phi(u_k, u_l) = delta_kl.  Greedy
-    extraction of non-isotropic vectors first; if an alternating block is left
-    over, each of its hyperbolic pairs (a, b) is merged with one orthonormal
-    vector u via the isometry {u, a, b} -> {u+a, u+b, u+a+b}.
-    """
-    _require_symmetric(m)
-    if is_alternating(m) and rank(m) > 0:
-        raise ValueError("form is alternating; no orthonormal basis exists")
-    vectors = [1 << i for i in range(m.n)]
-    ortho: list[int] = []
-    while True:
-        u = next((v for v in vectors if form_value(m, v, v)), None)
-        if u is None:
-            break
-        vectors.remove(u)
-        bu = _image(m, u)
-        vectors = [v ^ u if (v & bu).bit_count() & 1 else v for v in vectors]
-        ortho.append(u)
-    pairs = _extract_pairs(m, vectors)
-    if pairs:
-        u = ortho.pop()
-        for a, b in pairs:
-            ortho.append(u ^ a)
-            ortho.append(u ^ b)
-            u = u ^ a ^ b
-        ortho.append(u)
-    return ortho
-
-
-def symplectic_pairs(m: F2Matrix) -> list[tuple[int, int]]:
-    """Hyperbolic pairs (a_k, b_k) spanning a complement of the radical.
-
-    Requires an alternating form; phi(a_k, b_k) = 1 and all other products
-    among the returned vectors vanish, so rank(m) = 2 * len(pairs).
-    """
-    _require_symmetric(m)
-    if not is_alternating(m):
-        raise ValueError("symplectic pair extraction expects a zero diagonal")
-    return _extract_pairs(m, [1 << i for i in range(m.n)])
-
-
-def _first_pair(m, vectors):
-    """The first (i, j), i < j, with phi(vectors[i], vectors[j]) = 1, or None."""
-    for i, a in enumerate(vectors):
-        ba = _image(m, a)
-        for j in range(i + 1, len(vectors)):
-            if (vectors[j] & ba).bit_count() & 1:
-                return i, j
-    return None
-
-
-def _extract_pairs(m, vectors):
-    """Split off hyperbolic pairs: the first (a, b) in list order with
-    phi(a, b) = 1, then every other vector is made orthogonal to both."""
-    pairs = []
-    vectors = list(vectors)
-    while True:
-        found = _first_pair(m, vectors)
-        if found is None:
-            return pairs
-        i, j = found
-        b = vectors.pop(j)
-        a = vectors.pop(i)
-        ba, bb = _image(m, a), _image(m, b)
-        fixed = []
-        for x in vectors:
-            if (x & bb).bit_count() & 1:
-                x ^= a
-            if (x & ba).bit_count() & 1:
-                x ^= b
-            fixed.append(x)
-        vectors = fixed
-        pairs.append((a, b))

@@ -81,6 +81,9 @@ class Graph:
     def induced(self, vertices) -> "Graph":
         """Subgraph induced by the given vertices, relabeled in their sorted order."""
         keep = sorted(set(vertices))
+        for v in keep:
+            if not 0 <= v < self.n:
+                raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
         index = {v: i for i, v in enumerate(keep)}
         adj = [0] * len(keep)
         for v in keep:

@@ -199,14 +199,11 @@ def inversion_index(
     """
     if t.n > INDEX_VERTEX_CAP:
         raise CapacityError(f"inversion index search capped at {INDEX_VERTEX_CAP} vertices")
+    deadline = f2core._deadline(budget_s)
     order = is_acyclic(t)
     if order is not None:
         return 0, InversionCertificate((), order)
-    deadline = f2core._deadline(budget_s)
-    probe_depth = t.n - 3 if t.n >= 8 else 0
-    # Every order costs at most n, so with the incumbent n + 1 nothing is cut
-    # before the first leaf, the identity order, which then sets the bound.
-    value, order, mask = kernels.inversion_search(t.arcs, t.n, t.n + 1, probe_depth, deadline)
+    value, order, mask = kernels.inversion_search(t.arcs, t.n, deadline)
     certificate = _certificate(t, order, mask)
     return value, certificate
 

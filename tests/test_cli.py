@@ -161,6 +161,26 @@ def test_tournament_index_records_pass_independent_check(tmp_path, cache_dir, ca
     assert check_tournament_index(item, json.loads(out), item["input"]) is None
 
 
+GRAPH_POOL = [
+    pytest.param(item, id=f"{family}:{n}:{k}")
+    for family, pools in GOLDEN["pools"].items()
+    for n, pool in pools.items()
+    for k, item in enumerate(pool)
+    if "boolean" in item["golden"]
+]
+
+
+@pytest.mark.parametrize("item", GRAPH_POOL)
+def test_graph_dims_records_pass_independent_check(tmp_path, cache_dir, capsys, item):
+    # The benchmark's golden values, its own rank of the diagonal witness and
+    # its own XOR of the witness cliques, on every graph it draws from.
+    path = tmp_path / "g.g6"
+    path.write_text(item["input"] + "\n")
+    code, out, _ = run(capsys, "graph", "dims", "--graph6", str(path), "--json")
+    assert code == 0
+    assert check_graph_dims(item, json.loads(out), item["input"]) is None
+
+
 def test_tournament_table_uses_cache(cache_dir, capsys):
     code, out, _ = run(capsys, "tournament", "table", "--n", "4", "--json")
     assert code == 0
@@ -303,6 +323,24 @@ def test_budget_exhaustion_exit_3(tmp_path, cache_dir, capsys):
         capsys, "graph", "dims", "--graph6", str(g6), "--budget", "1e-9"
     )
     assert code == 3
+    assert "budget" in err
+
+
+BUDGET_COMMANDS = {
+    "graph dims": ["graph", "dims", "--graph6", "p16.g6"],
+    "tournament index": ["tournament", "index", "--family", "strongpath", "--n", "7"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(BUDGET_COMMANDS))
+@pytest.mark.parametrize("budget, code", [("nan", 2), ("-1", 2), ("0", 3)])
+def test_budget_value_exit_codes(tmp_path, cache_dir, capsys, monkeypatch, command, budget, code):
+    # A NaN or negative budget is malformed input; a zero budget is a
+    # search that runs out at its first poll.
+    (tmp_path / "p16.g6").write_text(write_graph6(path_graph(16)) + "\n")
+    monkeypatch.chdir(tmp_path)
+    got, _, err = run(capsys, *BUDGET_COMMANDS[command], "--budget", budget)
+    assert got == code
     assert "budget" in err
 
 

@@ -116,25 +116,115 @@ class TestBoolean:
         assert geometric_dim(padded)[0] == geometric_dim(g)[0]
 
 
+def gram_schmidt_basis(m: f2core.F2Matrix) -> list[int]:
+    """Reference for witness_family: an orthonormal basis u_1..u_r of the
+    form of a symmetric non-alternating m, by Gram-Schmidt on coefficient
+    vectors over e_0..e_{n-1}.
+
+    The first vector with phi(v, v) = 1 is taken and every vector that meets
+    it is made orthogonal to it.  An alternating rest is split into
+    hyperbolic pairs: the first (a, b) in list order with phi(a, b) = 1, then
+    every other vector is made orthogonal to both.  Each pair is merged with
+    the last basis vector u by the isometry {u, a, b} -> {u+a, u+b, u+a+b}.
+    The cliques of witness_family are the images m u_k.
+    """
+    vectors = [1 << i for i in range(m.n)]
+    ortho = []
+    while True:
+        u = next((v for v in vectors if f2core.form_value(m, v, v)), None)
+        if u is None:
+            break
+        vectors.remove(u)
+        vectors = [v ^ u if f2core.form_value(m, v, u) else v for v in vectors]
+        ortho.append(u)
+    pairs = []
+    while True:
+        found = next(
+            (
+                (i, j)
+                for i in range(len(vectors))
+                for j in range(i + 1, len(vectors))
+                if f2core.form_value(m, vectors[i], vectors[j])
+            ),
+            None,
+        )
+        if found is None:
+            break
+        i, j = found
+        b = vectors.pop(j)
+        a = vectors.pop(i)
+        fixed = []
+        for x in vectors:
+            if f2core.form_value(m, x, b):
+                x ^= a
+            if f2core.form_value(m, x, a):
+                x ^= b
+            fixed.append(x)
+        vectors = fixed
+        pairs.append((a, b))
+    if pairs:
+        u = ortho.pop()
+        for a, b in pairs:
+            ortho.append(u ^ a)
+            ortho.append(u ^ b)
+            u = u ^ a ^ b
+        ortho.append(u)
+    return ortho
+
+
+def reference_cliques(g: Graph, mask: int) -> tuple[int, ...]:
+    m = f2core.add_diagonal(dims.adjacency_matrix(g), mask)
+    return tuple(f2core._image(m, u) for u in gram_schmidt_basis(m))
+
+
 class TestWitnessFamily:
     def test_clique_k_is_the_odd_overlaps_with_u_k(self):
         # Clique k holds v exactly when row v of A + D meets u_k in an odd
         # number of positions; the rows are built here from the edge list.
         rng = random.Random(11)
-        for _ in range(150):
-            n = rng.randint(1, 9)
-            g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+        for _ in range(2000):
+            n = rng.randint(1, 12)
+            g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
             mask = rng.randrange(1, 1 << n)
             rows = [((mask >> v) & 1) << v for v in range(n)]
             for u, v in g.edges():
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-            basis = f2core.orthonormal_basis(f2core.F2Matrix(n, tuple(rows)))
+            basis = gram_schmidt_basis(f2core.F2Matrix(n, tuple(rows)))
             expected = tuple(
                 sum(1 << v for v in range(n) if bin(rows[v] & u).count("1") % 2)
                 for u in basis
             )
             assert dims.witness_family(g, mask).members == expected
+
+    def test_matches_reference_on_every_graph_to_5(self):
+        # Every admissible mask, not only the optimal ones, gives rank(A + D)
+        # cliques that realize g.  Mask 0 is admissible only without edges.
+        for n in range(6):
+            for g in enumerate_graphs(n):
+                for mask in range(1 if any(g.adj) else 0, 1 << n):
+                    family = dims.witness_family(g, mask)
+                    m = f2core.add_diagonal(dims.adjacency_matrix(g), mask)
+                    assert len(family) == f2core.rank(m)
+                    assert realize(family).adj == g.adj
+                    assert family.members == reference_cliques(g, mask)
+
+    def test_hyperbolic_repair(self):
+        # Vertex 0 is the only one with a diagonal bit and leaves the
+        # hyperbolic plane of the edge 1-2 behind: three cliques by the merge.
+        g = Graph.from_edges(3, [(1, 2)])
+        family = dims.witness_family(g, 0b001)
+        assert family.members == (0b101, 0b011, 0b111) == reference_cliques(g, 0b001)
+        assert realize(family).adj == g.adj
+
+    def test_rejects_bad_masks(self):
+        for mask in (-1, 1 << 3):
+            with pytest.raises(ValueError, match="matrix size"):
+                dims.witness_family(path_graph(3), mask)
+        # Mask 0 leaves A alternating: no clique family has rank(A) members.
+        with pytest.raises(ValueError, match="alternating"):
+            dims.witness_family(path_graph(3), 0)
+        assert dims.witness_family(Graph.empty(3), 0).members == ()
 
 
 class TestOracle:
@@ -179,7 +269,7 @@ class TestDimensionReport:
     def test_tie_case_boolean_witness_is_first_nonzero_mask(self):
         # When boolean = symplectic + 1, mask 0 ties the optimum; the boolean
         # witness is the first nonzero mask in Gray order (mask 1), and its
-        # orthonormal factorization realizes the graph.
+        # clique factorization realizes the graph.
         for g in (ortho_graph_H(4), parse_graph6("Dvw")):
             core = g.induced([v for v in range(g.n) if g.adj[v]])
             sweep = f2core.minrank_sweep(dims.adjacency_matrix(core))

@@ -1,4 +1,4 @@
-"""Bit-packed GF(2) linear algebra: ranks, diagonal perturbations, bases."""
+"""Bit-packed GF(2) linear algebra: ranks, diagonal perturbations, sweeps."""
 
 from __future__ import annotations
 
@@ -126,9 +126,8 @@ class TestIsSymmetric:
 
     def test_operations_refuse_asymmetric_input(self):
         m = F2Matrix(3, (0b010, 0b100, 0b001))  # the directed 3-cycle
-        for op in (f2core.minrank_sweep, f2core.orthonormal_basis, f2core.symplectic_pairs):
-            with pytest.raises(ValueError):
-                op(m)
+        with pytest.raises(ValueError):
+            f2core.minrank_sweep(m)
         with pytest.raises(ValueError):
             add_diagonal(m, 0)
 
@@ -277,48 +276,10 @@ class TestSweeps:
         with pytest.raises(ValueError):
             f2core.minrank_sweep(F2Matrix.identity(2))
 
-
-class TestBases:
-    def test_orthonormal_basis_properties(self):
-        rng = random.Random(31)
-        seen_nontrivial = 0
-        for _ in range(200):
-            n = rng.randint(1, 9)
-            m = F2Matrix(n, random_symmetric_rows(rng, n, zero_diagonal=False))
-            if is_alternating(m) and rank(m) > 0:
-                continue
-            basis = f2core.orthonormal_basis(m)
-            assert len(basis) == rank(m)
-            if len(basis) > 1:
-                seen_nontrivial += 1
-            for i, u in enumerate(basis):
-                for j, v in enumerate(basis):
-                    assert f2core.form_value(m, u, v) == (1 if i == j else 0)
-        assert seen_nontrivial > 50
-
-    def test_orthonormal_basis_rejects_alternating(self):
-        with pytest.raises(ValueError):
-            f2core.orthonormal_basis(K3)
-
-    def test_orthonormal_handles_hyperbolic_repair(self):
-        # Non-alternating but its only non-isotropic start vector leaves a
-        # hyperbolic plane behind: forces the three-vector merge.
-        m = F2Matrix.from_lists([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
-        basis = f2core.orthonormal_basis(m)
-        assert len(basis) == 3
-        for i, u in enumerate(basis):
-            for j, v in enumerate(basis):
-                assert f2core.form_value(m, u, v) == (1 if i == j else 0)
-
-    def test_symplectic_pairs_properties(self):
-        rng = random.Random(32)
-        for _ in range(200):
-            n = rng.randint(0, 10)
-            m = F2Matrix(n, random_symmetric_rows(rng, n, zero_diagonal=True))
-            pairs = f2core.symplectic_pairs(m)
-            assert 2 * len(pairs) == rank(m)
-            flat = [v for pair in pairs for v in pair]
-            for i, u in enumerate(flat):
-                for j, v in enumerate(flat):
-                    expected = 1 if {i, j} in [{2 * k, 2 * k + 1} for k in range(len(pairs))] else 0
-                    assert f2core.form_value(m, u, v) == expected
+    def test_rejects_bad_budgets(self):
+        # Checked before the rank, so a zero matrix is refused too.
+        for m in (P4, F2Matrix.zeros(3)):
+            for budget in (float("nan"), -1.0):
+                with pytest.raises(ValueError, match="budget"):
+                    f2core.minrank_sweep(m, budget_s=budget)
+        assert f2core.minrank_sweep(P4, budget_s=float("inf")).boolean == 3

@@ -67,6 +67,13 @@ class TestGraphRows:
             Graph(2, (0b10, 0b00))
 
 
+class TestInduced:
+    def test_out_of_range(self):
+        for v in (-1, 3):
+            with pytest.raises(ValueError, match="outside"):
+                path_graph(3).induced([0, v])
+
+
 class TestBooleanSum:
     def test_self_inverse(self):
         rng = random.Random(0)

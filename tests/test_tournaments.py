@@ -209,6 +209,13 @@ class TestInversionIndex:
         with pytest.raises(CapacityError):
             inversion_index(Tournament.acyclic(10))
 
+    def test_rejects_bad_budgets(self):
+        # The budget is checked before the acyclic shortcut too.
+        for t in (Tournament.acyclic(4), three_cycle()):
+            for budget in (float("nan"), -1.0):
+                with pytest.raises(ValueError, match="budget"):
+                    inversion_index(t, budget_s=budget)
+
     def test_budget_expires_mid_search(self, clock_jump):
         # Every diagonal search polls the deadline at its first node, and the
         # order search on strongpath:8 runs over a thousand of them.
