@@ -20,8 +20,7 @@ from itertools import combinations
 
 from . import _kernels_py, f2core
 from .errors import CapacityError
-from .f2core import F2Matrix
-from .graphs import CliqueFamily, Graph, realize, set_bits, validate_representation
+from .graphs import CliqueFamily, Graph, realize, set_bits
 
 #: The pruned diagonal search still grows exponentially on its worst inputs (a
 #: 16-vertex path takes about 33k nodes), so cap it: a stray huge input fails
@@ -72,10 +71,6 @@ class IndWitness:
         return len(self.vertices)
 
 
-def adjacency_matrix(g: Graph) -> F2Matrix:
-    return F2Matrix(g.n, g.adj)
-
-
 def _isolated_free_core(g: Graph) -> tuple[Graph, list[int]]:
     """Subgraph on the non-isolated vertices, plus the index mapping back."""
     core = [v for v in range(g.n) if g.adj[v]]
@@ -92,7 +87,7 @@ def _lift_mask(mask: int, core: list[int]) -> int:
 
 def symplectic_dim(g: Graph) -> int:
     """Rank of the adjacency matrix over GF(2)."""
-    return f2core.rank(adjacency_matrix(g))
+    return _kernels_py.rank(g.adj, g.n)
 
 
 def _core_sweep(g: Graph, budget_s: float | None):
@@ -104,28 +99,33 @@ def _core_sweep(g: Graph, budget_s: float | None):
         raise CapacityError(
             f"diagonal sweep capped at {DEFAULT_SWEEP_CAP} non-isolated vertices, got {core_g.n}"
         )
-    return core, f2core.minrank_sweep(adjacency_matrix(core_g), budget_s=budget_s)
+    return core, f2core.minrank_sweep(core_g, budget_s=budget_s)
+
+
+def _plus_diagonal(g: Graph, mask: int) -> list[int]:
+    """The bit rows of A + D, D the diagonal whose entry (v, v) is bit v of
+    ``mask``."""
+    return [row | (mask & (1 << v)) for v, row in enumerate(g.adj)]
 
 
 def _geometric_witness(g: Graph, core: list[int], sweep: f2core.Sweep) -> int:
     """The geometric mask lifted to g, its rank replayed against the value."""
     mask = _lift_mask(sweep.geometric_mask, core)
-    if f2core.rank(f2core.add_diagonal(adjacency_matrix(g), mask)) != sweep.geometric:
+    if _kernels_py.rank(_plus_diagonal(g, mask), g.n) != sweep.geometric:
         raise AssertionError("diagonal witness does not attain the geometric minimum")
     return mask
 
 
 def _boolean_witness(g: Graph, core: list[int], sweep: f2core.Sweep) -> CliqueFamily:
     """The clique family of the boolean mask lifted to g, checked to have the
-    boolean value as its size and to realize g.  Isolated vertices have zero
-    rows and a zero diagonal bit, so the elimination never touches them."""
+    boolean value as its size and to realize g: an edge exactly where an odd
+    number of its cliques meet.  Isolated vertices have zero rows and a zero
+    diagonal bit, so the elimination never touches them."""
     family = witness_family(g, _lift_mask(sweep.boolean_mask, core))
     if len(family) != sweep.boolean:
         raise AssertionError("clique witness size differs from the boolean dimension")
     if realize(family).adj != g.adj:
         raise AssertionError("clique witness does not realize the graph")
-    if not validate_representation(g, family.vertex_map()):
-        raise AssertionError("clique witness fails representation validation")
     return family
 
 
@@ -203,7 +203,7 @@ def witness_family(g: Graph, mask: int) -> CliqueFamily:
         raise ValueError("diagonal mask does not match the matrix size")
     if not mask and any(g.adj):
         raise ValueError("A + D is alternating for mask 0; no clique family factors it")
-    rows = [row | (mask & (1 << v)) for v, row in enumerate(g.adj)]
+    rows = _plus_diagonal(g, mask)
     cliques = []
     diagonal = mask  # bit v is the diagonal entry of row v
     while diagonal:

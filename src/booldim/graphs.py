@@ -10,7 +10,6 @@ validation, and graph6 / edge-list text I/O.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import CapacityError, FormatError
 
@@ -19,7 +18,12 @@ MAX_VERTICES = 64
 
 @dataclass(frozen=True)
 class Graph:
-    """Graph as n adjacency bitmask rows; bit j of adj[i] set iff {i, j} is an edge."""
+    """Graph as n adjacency bitmask rows; bit j of adj[i] set iff {i, j} is an edge.
+
+    The rows are also the adjacency matrix over GF(2) that every rank and
+    diagonal search reads; construction checks once that it is in range,
+    symmetric and zero on the diagonal.
+    """
 
     n: int
     adj: tuple[int, ...]
@@ -281,19 +285,6 @@ def ortho_graph_H(k: int) -> Graph:
     return _form_graph(vectors, _odd_scalar_product)
 
 
-def graph_of_form(m) -> Graph:
-    """Non-orthogonality graph of an arbitrary symmetric form on F2^d.
-
-    Vertices are all 2^d coefficient vectors (vertex index = vector value);
-    distinct x, y are adjacent iff the form evaluates to 1 on them.
-    """
-    from . import f2core
-
-    if m.n > ORTHO_MAX_K:
-        raise CapacityError(f"graph_of_form is capped at dimension {ORTHO_MAX_K}")
-    return _form_graph(range(1 << m.n), lambda x, y: f2core.form_value(m, x, y))
-
-
 # ---------------------------------------------------------------------------
 # graph6 I/O
 #
@@ -403,38 +394,3 @@ def parse_edge_list(text: str) -> Graph:
 
 def write_edge_list(g: Graph) -> str:
     return "".join(f"{u} {v}\n" for u, v in g.edges())
-
-
-def max_clique_size(g: Graph) -> int:
-    """Largest clique, by bitset branch and bound (desk-scale graphs only)."""
-    best = 0
-
-    def grow(size: int, candidates: int):
-        nonlocal best
-        if size + candidates.bit_count() <= best:
-            return
-        if not candidates:
-            best = max(best, size)
-            return
-        rest = candidates
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            grow(size + 1, rest & g.adj[low.bit_length() - 1])
-            if size + rest.bit_count() <= best:
-                return
-
-    grow(0, (1 << g.n) - 1)
-    return best
-
-
-def enumerate_graphs(n: int):
-    """All 2^C(n,2) labeled graphs on n vertices, by upper-triangle edge mask."""
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        adj = [0] * n
-        for t, (i, j) in enumerate(pairs):
-            if (mask >> t) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-        yield Graph(n, tuple(adj))

@@ -285,16 +285,6 @@ def gen_antichain_cn(n: int) -> Tournament:
     return invert(gen_strong_path(n), [0, n - 1])
 
 
-def three_cycles_through(t: Tournament, v: int) -> int:
-    """Number of 3-element cycles containing vertex v."""
-    count = 0
-    for a, b in combinations([u for u in range(t.n) if u != v], 2):
-        outs = [t.arcs[x] & ((1 << v) | (1 << a) | (1 << b)) for x in (v, a, b)]
-        if all(o.bit_count() == 1 for o in outs):
-            count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # Embedding and enumeration
 # ---------------------------------------------------------------------------
@@ -397,6 +387,7 @@ def inversion_table(
         raise ValueError("need at least one vertex")
     if n > TABLE_VERTEX_CAP:
         raise CapacityError(f"table sweep capped at {TABLE_VERTEX_CAP} vertices")
+    f2core._deadline(budget_s)  # a malformed budget fails even on a full cache
     reps = enumerate_tournaments(n)
     values: dict[int, int] = {}
     missing = []

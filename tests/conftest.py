@@ -1,16 +1,22 @@
-"""Shared generators for the test suite.  Everything is seeded."""
+"""Shared generators and helpers for the test suite.  Everything is seeded."""
 
 from __future__ import annotations
 
 import random
+import sys
 import time
-from itertools import product
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
 from booldim import _kernels_py
 from booldim.graphs import Graph
 from booldim.tournaments import Tournament
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import checks  # noqa: E402
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -61,6 +67,17 @@ def star_cost_dp(g: Graph) -> int:
     return best[0][0]
 
 
+def plus_diagonal(rows, mask: int) -> tuple[int, ...]:
+    """Rows with entry (i, i) flipped for every bit i of mask."""
+    return tuple(row ^ (mask & (1 << i)) for i, row in enumerate(rows))
+
+
+def diagonal_rank(g: Graph, mask: int) -> int:
+    """rank(A + D) for the diagonal D whose entry (v, v) is bit v of mask, by
+    the benchmark's own GF(2) rank, which shares no code with booldim's."""
+    return checks.rank(plus_diagonal(g.adj, mask))
+
+
 def random_symmetric_rows(rng: random.Random, n: int, zero_diagonal: bool = True):
     rows = [0] * n
     for i in range(n):
@@ -89,6 +106,51 @@ def perturbed(rng: random.Random, rows):
     elif roll < 0.8:
         rows[rng.randrange(len(rows))] ^= 1 << rng.randint(0, len(rows))
     return tuple(rows)
+
+
+def max_clique_size(g: Graph) -> int:
+    """Largest clique, by bitset branch and bound (desk-scale graphs only)."""
+    best = 0
+
+    def grow(size: int, candidates: int):
+        nonlocal best
+        if size + candidates.bit_count() <= best:
+            return
+        if not candidates:
+            best = max(best, size)
+            return
+        rest = candidates
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            grow(size + 1, rest & g.adj[low.bit_length() - 1])
+            if size + rest.bit_count() <= best:
+                return
+
+    grow(0, (1 << g.n) - 1)
+    return best
+
+
+def enumerate_graphs(n: int):
+    """All 2^C(n,2) labeled graphs on n vertices, by upper-triangle edge mask."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        adj = [0] * n
+        for t, (i, j) in enumerate(pairs):
+            if (mask >> t) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        yield Graph(n, tuple(adj))
+
+
+def three_cycles_through(t: Tournament, v: int) -> int:
+    """Number of 3-element cycles containing vertex v."""
+    count = 0
+    for a, b in combinations([u for u in range(t.n) if u != v], 2):
+        outs = [t.arcs[x] & ((1 << v) | (1 << a) | (1 << b)) for x in (v, a, b)]
+        if all(o.bit_count() == 1 for o in outs):
+            count += 1
+    return count
 
 
 def random_tournament(rng: random.Random, n: int) -> Tournament:

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from booldim import dims, f2core, graphs, tournaments, trees
+from booldim import dims, graphs, tournaments, trees
 from booldim.dims import (
     boolean_dim,
     boolean_dim_oracle,
@@ -22,8 +22,6 @@ from booldim.dims import (
 from booldim.graphs import (
     Graph,
     complete_graph,
-    enumerate_graphs,
-    max_clique_size,
     ortho_graph,
     ortho_graph_H,
     path_graph,
@@ -39,7 +37,14 @@ from booldim.tournaments import (
     is_acyclic,
     max_inversion_table,
 )
-from conftest import all_tournaments_labeled, random_graph, random_tournament
+from conftest import (
+    all_tournaments_labeled,
+    diagonal_rank,
+    enumerate_graphs,
+    max_clique_size,
+    random_graph,
+    random_tournament,
+)
 
 
 @contextmanager
@@ -166,10 +171,7 @@ def test_criterion_9_invariant_suites():
             assert len(rep.witness_cliques) == rep.boolean
             assert realize(rep.witness_cliques).adj == g.adj
             assert validate_representation(g, rep.witness_cliques.vertex_map())
-            perturbed = f2core.add_diagonal(
-                dims.adjacency_matrix(g), rep.witness_diagonal
-            )
-            assert f2core.rank(perturbed) == rep.geometric
+            assert diagonal_rank(g, rep.witness_diagonal) == rep.geometric
 
         for n in range(1, 6):
             for g in enumerate_graphs(n):

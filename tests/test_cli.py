@@ -17,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from checks import (  # noqa: E402
     check_graph_dims,
     check_tournament_index,
+    check_tournament_table,
     check_tree_mstar,
     check_tree_verify,
 )
@@ -191,6 +192,30 @@ def test_tournament_table_uses_cache(cache_dir, capsys):
     code, out, _ = run(capsys, "tournament", "table", "--n", "4", "--json")
     assert code == 0
     assert len(list(cache_dir.glob("tournament-index-*.json"))) == 4
+
+
+def test_tournament_table_records_pass_independent_check(tmp_path, capsys):
+    # The benchmark's cold and warm passes: a fresh cache directory, then the
+    # same one again, each record checked against the golden class table.
+    item = {"command": "tournament table", "golden": GOLDEN["pools"]["table"]["5"][0]["golden"]}
+    cache = tmp_path / "cache"
+    for _ in range(2):
+        code, out, _ = run(
+            capsys, "tournament", "table", "--n", "5", "--json", "--cache-dir", str(cache)
+        )
+        assert code == 0
+        assert check_tournament_table(item, json.loads(out), None) is None
+        assert len(list(cache.glob("tournament-index-*.json"))) == 12
+
+
+def test_tournament_table_bad_budget_on_warm_cache_exit_2(cache_dir, capsys):
+    code, _, _ = run(capsys, "tournament", "table", "--n", "3")
+    assert code == 0
+    assert any(cache_dir.iterdir())
+    for budget in ("-1", "nan"):
+        code, _, err = run(capsys, "tournament", "table", "--n", "3", "--budget", budget)
+        assert code == 2
+        assert "budget" in err
 
 
 def test_tournament_table_unreadable_cache_entry_is_a_miss(cache_dir, capsys):

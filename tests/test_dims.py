@@ -24,7 +24,6 @@ from booldim.graphs import (
     clique_graph,
     complete_graph,
     cycle_graph,
-    enumerate_graphs,
     find_duo,
     ortho_graph,
     ortho_graph_H,
@@ -34,7 +33,14 @@ from booldim.graphs import (
     validate_representation,
 )
 from booldim.trees import enumerate_trees
-from conftest import random_graph, random_tree
+from conftest import (
+    diagonal_rank,
+    enumerate_graphs,
+    max_clique_size,
+    plus_diagonal,
+    random_graph,
+    random_tree,
+)
 
 
 def triangle_with_pendants() -> Graph:
@@ -69,8 +75,7 @@ class TestGeometric:
         for _ in range(50):
             g = random_graph(rng, rng.randint(1, 8))
             value, mask = geometric_dim(g)
-            m = f2core.add_diagonal(dims.adjacency_matrix(g), mask)
-            assert f2core.rank(m) == value
+            assert diagonal_rank(g, mask) == value
 
     def test_cap(self, monkeypatch):
         # Isolated vertices do not count against the cap.
@@ -116,10 +121,30 @@ class TestBoolean:
         assert geometric_dim(padded)[0] == geometric_dim(g)[0]
 
 
-def gram_schmidt_basis(m: f2core.F2Matrix) -> list[int]:
+# Vectors below are coefficient bitmasks over the standard basis e_0..e_{n-1};
+# the bilinear form of a symmetric matrix B with bit rows ``m`` evaluates as
+# phi(x, y) = parity(x & (B y)).
+
+
+def image(m, y: int) -> int:
+    """B y: the XOR of the rows of m that y selects."""
+    by = 0
+    while y:
+        low = y & -y
+        by ^= m[low.bit_length() - 1]
+        y ^= low
+    return by
+
+
+def form_value(m, x: int, y: int) -> int:
+    """phi(x, y) for the symmetric bilinear form with Gram rows m."""
+    return (x & image(m, y)).bit_count() & 1
+
+
+def gram_schmidt_basis(m) -> list[int]:
     """Reference for witness_family: an orthonormal basis u_1..u_r of the
-    form of a symmetric non-alternating m, by Gram-Schmidt on coefficient
-    vectors over e_0..e_{n-1}.
+    form of symmetric non-alternating bit rows m, by Gram-Schmidt on
+    coefficient vectors over e_0..e_{n-1}.
 
     The first vector with phi(v, v) = 1 is taken and every vector that meets
     it is made orthogonal to it.  An alternating rest is split into
@@ -128,14 +153,14 @@ def gram_schmidt_basis(m: f2core.F2Matrix) -> list[int]:
     the last basis vector u by the isometry {u, a, b} -> {u+a, u+b, u+a+b}.
     The cliques of witness_family are the images m u_k.
     """
-    vectors = [1 << i for i in range(m.n)]
+    vectors = [1 << i for i in range(len(m))]
     ortho = []
     while True:
-        u = next((v for v in vectors if f2core.form_value(m, v, v)), None)
+        u = next((v for v in vectors if form_value(m, v, v)), None)
         if u is None:
             break
         vectors.remove(u)
-        vectors = [v ^ u if f2core.form_value(m, v, u) else v for v in vectors]
+        vectors = [v ^ u if form_value(m, v, u) else v for v in vectors]
         ortho.append(u)
     pairs = []
     while True:
@@ -144,7 +169,7 @@ def gram_schmidt_basis(m: f2core.F2Matrix) -> list[int]:
                 (i, j)
                 for i in range(len(vectors))
                 for j in range(i + 1, len(vectors))
-                if f2core.form_value(m, vectors[i], vectors[j])
+                if form_value(m, vectors[i], vectors[j])
             ),
             None,
         )
@@ -155,9 +180,9 @@ def gram_schmidt_basis(m: f2core.F2Matrix) -> list[int]:
         a = vectors.pop(i)
         fixed = []
         for x in vectors:
-            if f2core.form_value(m, x, b):
+            if form_value(m, x, b):
                 x ^= a
-            if f2core.form_value(m, x, a):
+            if form_value(m, x, a):
                 x ^= b
             fixed.append(x)
         vectors = fixed
@@ -173,8 +198,8 @@ def gram_schmidt_basis(m: f2core.F2Matrix) -> list[int]:
 
 
 def reference_cliques(g: Graph, mask: int) -> tuple[int, ...]:
-    m = f2core.add_diagonal(dims.adjacency_matrix(g), mask)
-    return tuple(f2core._image(m, u) for u in gram_schmidt_basis(m))
+    m = plus_diagonal(g.adj, mask)
+    return tuple(image(m, u) for u in gram_schmidt_basis(m))
 
 
 class TestWitnessFamily:
@@ -190,7 +215,7 @@ class TestWitnessFamily:
             for u, v in g.edges():
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-            basis = gram_schmidt_basis(f2core.F2Matrix(n, tuple(rows)))
+            basis = gram_schmidt_basis(rows)
             expected = tuple(
                 sum(1 << v for v in range(n) if bin(rows[v] & u).count("1") % 2)
                 for u in basis
@@ -204,8 +229,7 @@ class TestWitnessFamily:
             for g in enumerate_graphs(n):
                 for mask in range(1 if any(g.adj) else 0, 1 << n):
                     family = dims.witness_family(g, mask)
-                    m = f2core.add_diagonal(dims.adjacency_matrix(g), mask)
-                    assert len(family) == f2core.rank(m)
+                    assert len(family) == diagonal_rank(g, mask)
                     assert realize(family).adj == g.adj
                     assert family.members == reference_cliques(g, mask)
 
@@ -272,8 +296,8 @@ class TestDimensionReport:
         # clique factorization realizes the graph.
         for g in (ortho_graph_H(4), parse_graph6("Dvw")):
             core = g.induced([v for v in range(g.n) if g.adj[v]])
-            sweep = f2core.minrank_sweep(dims.adjacency_matrix(core))
-            assert sweep.boolean == f2core.rank(dims.adjacency_matrix(core)) + 1
+            sweep = f2core.minrank_sweep(core)
+            assert sweep.boolean == diagonal_rank(core, 0) + 1
             assert sweep.boolean_mask == 1
             family = dimension_report(g).witness_cliques
             assert len(family) == sweep.boolean
@@ -305,11 +329,24 @@ class TestDimensionReport:
         with pytest.raises(AssertionError):
             dimension_report(ortho_graph(3))
 
+    def test_planted_clique_witness_off_by_one_vertex_raises(self, monkeypatch):
+        # The right number of cliques, but vertex 0 toggled in the first one:
+        # only the realization check can tell.
+        build = dims.witness_family
+
+        def flip_vertex_0(g, mask):
+            family = build(g, mask)
+            return type(family)(family.n, (family.members[0] ^ 1,) + family.members[1:])
+
+        monkeypatch.setattr(dims, "witness_family", flip_vertex_0)
+        with pytest.raises(AssertionError, match="does not realize"):
+            dimension_report(complete_graph(5))
+
     def test_planted_wrong_diagonal_witness_raises(self, monkeypatch):
         sweep = f2core.minrank_sweep
 
-        def flip_bit_0(m, **kwargs):
-            found = sweep(m, **kwargs)
+        def flip_bit_0(g, **kwargs):
+            found = sweep(g, **kwargs)
             return found._replace(geometric_mask=found.geometric_mask ^ 1)
 
         monkeypatch.setattr(f2core, "minrank_sweep", flip_bit_0)
@@ -463,8 +500,6 @@ def test_invariants_exhaustive_n_le_6():
 
 
 def test_clique_bound_random():
-    from booldim.graphs import max_clique_size
-
     rng = random.Random(4)
     for _ in range(300):
         g = random_graph(rng, rng.randint(1, 8))

@@ -1,17 +1,20 @@
-"""Bit-packed GF(2) linear algebra: ranks, diagonal perturbations, sweeps."""
+"""Bit-row GF(2) rank and the diagonal-mask sweeps over a graph's rows."""
 
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
 
 import pytest
 
-from booldim import f2core
+from booldim import dims, f2core
 from booldim._backend import kernels
 from booldim.errors import CapacityError
-from booldim.f2core import F2Matrix, add_diagonal, is_alternating, rank
-from conftest import random_symmetric_rows
+from booldim.graphs import Graph, complete_graph
+from conftest import plus_diagonal, random_symmetric_rows
+
+
+def rank(rows) -> int:
+    return kernels.rank(rows, len(rows))
 
 
 def span_size_rank(rows, n):
@@ -28,48 +31,39 @@ def span_size_rank(rows, n):
     return r
 
 
-def adjacency(edges, n):
-    rows = [0] * n
-    for u, v in edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return F2Matrix(n, tuple(rows))
-
-
-K3 = adjacency([(0, 1), (1, 2), (0, 2)], 3)
-P4 = adjacency([(0, 1), (1, 2), (2, 3)], 4)
+K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
 
 class TestRank:
     def test_zero_matrix(self):
-        assert rank(F2Matrix.zeros(4)) == 0
+        assert rank((0,) * 4) == 0
 
     def test_triangle(self):
-        assert rank(K3) == 2
+        assert rank(K3.adj) == 2
 
     def test_path4_matches_span_oracle(self):
         # Frozen from the subset-span oracle: all 2^4 row XORs span 16 vectors.
-        assert span_size_rank(P4.rows, 4) == 4
-        assert rank(P4) == 4
+        assert span_size_rank(P4.adj, 4) == 4
+        assert rank(P4.adj) == 4
 
     def test_random_against_span_oracle(self):
         rng = random.Random(11)
         for _ in range(200):
             n = rng.randint(0, 8)
             rows = tuple(rng.getrandbits(n) for _ in range(n))
-            assert rank(F2Matrix(n, rows)) == span_size_rank(rows, n)
+            assert rank(rows) == span_size_rank(rows, n)
 
     def test_input_not_modified(self):
-        rows = P4.rows
-        rank(P4)
-        assert P4.rows == rows
+        rows = list(P4.adj)
+        rank(rows)
+        assert rows == list(P4.adj)
 
     def test_permutation_invariance(self):
         rng = random.Random(5)
         for _ in range(100):
             n = rng.randint(1, 9)
             rows = random_symmetric_rows(rng, n, zero_diagonal=False)
-            m = F2Matrix(n, rows)
             perm = list(range(n))
             rng.shuffle(perm)
             relabeled = [0] * n
@@ -77,77 +71,63 @@ class TestRank:
                 for j in range(n):
                     if (rows[i] >> j) & 1:
                         relabeled[perm[i]] |= 1 << perm[j]
-            assert rank(m) == rank(F2Matrix(n, tuple(relabeled)))
+            assert rank(rows) == rank(tuple(relabeled))
 
 
 class TestAddDiagonal:
+    """The bit rows of A + D that the witness checks and witness_family build."""
+
     def test_zero_to_identity(self):
-        out = add_diagonal(F2Matrix.zeros(2), 0b11)
-        assert out == F2Matrix.identity(2)
+        out = dims._plus_diagonal(Graph.empty(2), 0b11)
+        assert out == [0b01, 0b10]
         assert rank(out) == 2
 
     def test_complete_graph_to_all_ones(self):
         for n in range(2, 7):
-            kn = adjacency([(i, j) for i in range(n) for j in range(i + 1, n)], n)
-            out = add_diagonal(kn, (1 << n) - 1)
-            assert out.rows == tuple((1 << n) - 1 for _ in range(n))
+            out = dims._plus_diagonal(complete_graph(n), (1 << n) - 1)
+            assert out == [(1 << n) - 1] * n
             assert rank(out) == 1
 
     def test_zero_mask_is_identity_perturbation(self):
-        assert add_diagonal(K3, 0) == K3
-
-    def test_mismatched_mask_rejected(self):
-        with pytest.raises(ValueError):
-            add_diagonal(K3, 1 << 3)
+        assert dims._plus_diagonal(K3, 0) == list(K3.adj)
 
     def test_rank_changes_at_most_popcount(self):
         rng = random.Random(3)
         for _ in range(200):
             n = rng.randint(1, 10)
-            m = F2Matrix(n, random_symmetric_rows(rng, n, zero_diagonal=False))
+            rows = random_symmetric_rows(rng, n, zero_diagonal=False)
             mask = rng.getrandbits(n)
-            assert abs(rank(add_diagonal(m, mask)) - rank(m)) <= mask.bit_count()
-
-
-class TestIsSymmetric:
-    def test_matches_entrywise_transpose(self):
-        # Oracle: compare every entry (i, j) with (j, i) on 0/1 lists.
-        rng = random.Random(16)
-        for _ in range(300):
-            n = rng.randint(1, 8)
-            rows = list(random_symmetric_rows(rng, n, zero_diagonal=False))
-            for _ in range(rng.choice([0, 0, 1, 2])):
-                i, j = rng.randrange(n), rng.randrange(n)
-                rows[i] ^= 1 << j
-            m = F2Matrix(n, tuple(rows))
-            entries = [[(row >> j) & 1 for j in range(n)] for row in rows]
-            symmetric = all(entries[i][j] == entries[j][i] for i in range(n) for j in range(n))
-            assert m.is_symmetric() == symmetric
-
-    def test_operations_refuse_asymmetric_input(self):
-        m = F2Matrix(3, (0b010, 0b100, 0b001))  # the directed 3-cycle
-        with pytest.raises(ValueError):
-            f2core.minrank_sweep(m)
-        with pytest.raises(ValueError):
-            add_diagonal(m, 0)
+            assert abs(rank(plus_diagonal(rows, mask)) - rank(rows)) <= mask.bit_count()
 
 
 class TestIsAlternating:
+    """Graph rows are the alternating (zero-diagonal) matrices, so the
+    diagonal of A + D is the mask; a set diagonal bit is refused at
+    construction."""
+
     def test_adjacency_always_alternating(self):
-        assert is_alternating(K3) and is_alternating(P4)
+        rng = random.Random(17)
+        for _ in range(200):
+            n = rng.randint(0, 10)
+            g = Graph(n, random_symmetric_rows(rng, n))
+            mask = rng.getrandbits(n)
+            rows = dims._plus_diagonal(g, mask)
+            assert sum(row & (1 << v) for v, row in enumerate(rows)) == mask
 
     def test_identity_not(self):
-        assert not is_alternating(F2Matrix.identity(3))
+        with pytest.raises(ValueError, match="loop"):
+            Graph(3, (0b001, 0b010, 0b100))
 
     def test_single_diagonal_bit(self):
-        assert not is_alternating(add_diagonal(K3, 0b001))
+        with pytest.raises(ValueError, match="loop"):
+            Graph(3, plus_diagonal(K3.adj, 0b001))
 
     def test_alternating_symmetric_rank_even(self):
         rng = random.Random(9)
         for _ in range(300):
             n = rng.randint(0, 16)
-            m = F2Matrix(n, random_symmetric_rows(rng, n, zero_diagonal=True))
-            assert rank(m) % 2 == 0
+            rows = random_symmetric_rows(rng, n, zero_diagonal=True)
+            assert rank(rows) % 2 == 0
 
 
 def test_odd_intersection_family_property():
@@ -175,7 +155,7 @@ def test_odd_intersection_family_property():
 
 def test_capacity_cap():
     with pytest.raises(CapacityError):
-        F2Matrix(65, (0,) * 65)
+        Graph(65, (0,) * 65)
 
 
 def gray_position(mask: int) -> int:
@@ -192,23 +172,23 @@ class TestSweeps:
         rng = random.Random(21)
         for _ in range(60):
             n = rng.randint(0, 7)
-            m = F2Matrix(n, random_symmetric_rows(rng, n))
+            g = Graph(n, random_symmetric_rows(rng, n))
             naive = min(
-                rank(add_diagonal(m, mask)) for mask in range(1 << n)
+                rank(plus_diagonal(g.adj, mask)) for mask in range(1 << n)
             ) if n else 0
-            sweep = f2core.minrank_sweep(m)
+            sweep = f2core.minrank_sweep(g)
             assert sweep.geometric == (naive if n else 0)
-            assert rank(add_diagonal(m, sweep.geometric_mask)) == sweep.geometric
+            assert rank(plus_diagonal(g.adj, sweep.geometric_mask)) == sweep.geometric
 
     def test_witness_is_first_in_gray_order(self):
         rng = random.Random(22)
         for _ in range(40):
             n = rng.randint(1, 6)
-            m = F2Matrix(n, random_symmetric_rows(rng, n))
-            sweep = f2core.minrank_sweep(m)
+            g = Graph(n, random_symmetric_rows(rng, n))
+            sweep = f2core.minrank_sweep(g)
             for pos in range(1 << n):
                 mask = pos ^ (pos >> 1)
-                got = rank(add_diagonal(m, mask))
+                got = rank(plus_diagonal(g.adj, mask))
                 if got == sweep.geometric:
                     assert mask == sweep.geometric_mask
                     break
@@ -218,17 +198,17 @@ class TestSweeps:
         rng = random.Random(23)
         for _ in range(60):
             n = rng.randint(1, 7)
-            m = F2Matrix(n, random_symmetric_rows(rng, n))
+            g = Graph(n, random_symmetric_rows(rng, n))
             costs = []
             for mask in range(1 << n):
-                r = rank(add_diagonal(m, mask))
+                r = rank(plus_diagonal(g.adj, mask))
                 if mask == 0:
                     costs.append(0 if r == 0 else r + 1)
                 else:
                     costs.append(r)
-            sweep = f2core.minrank_sweep(m)
+            sweep = f2core.minrank_sweep(g)
             assert sweep.boolean == min(costs)
-            assert f2core.inner_cost_sweep(m) == (sweep.boolean, sweep.boolean_mask)
+            assert f2core.inner_cost_sweep(g) == (sweep.boolean, sweep.boolean_mask)
 
     def test_sweep_matches_gray_order_naive(self):
         # The one-pass boolean value and witness must equal a literal
@@ -243,11 +223,10 @@ class TestSweeps:
                 best = None
                 for pos in range(1, 1 << n):
                     mask = pos ^ (pos >> 1)
-                    work = tuple(rows[i] ^ (((mask >> i) & 1) << i) for i in range(n))
-                    r = kernels.rank(work, n)
+                    r = rank(plus_diagonal(rows, mask))
                     if best is None or r < best:
                         best, best_mask, best_pos = r, mask, pos
-            sweep = f2core.minrank_sweep(F2Matrix(n, rows))
+            sweep = f2core.minrank_sweep(Graph(n, rows))
             assert (sweep.boolean, sweep.boolean_mask, gray_position(sweep.boolean_mask)) == (
                 best, best_mask, best_pos,
             )
@@ -264,21 +243,16 @@ class TestSweeps:
             best, best_mask = cap, -1
             for pos in range(1, 1 << n):
                 mask = pos ^ (pos >> 1)
-                work = tuple(rows[i] ^ (((mask >> i) & 1) << i) for i in range(n))
-                r = kernels.rank(work, n)
+                r = rank(plus_diagonal(rows, mask))
                 if r < best:
                     best, best_mask = r, mask
                     if best <= stop_at:
                         break
             assert kernels.diagonal_sweep(rows, n, cap, stop_at) == (best, best_mask)
 
-    def test_rejects_nonzero_diagonal(self):
-        with pytest.raises(ValueError):
-            f2core.minrank_sweep(F2Matrix.identity(2))
-
     def test_rejects_bad_budgets(self):
-        # Checked before the rank, so a zero matrix is refused too.
-        for m in (P4, F2Matrix.zeros(3)):
+        # Checked before the rank, so a graph without edges is refused too.
+        for m in (P4, Graph.empty(3)):
             for budget in (float("nan"), -1.0):
                 with pytest.raises(ValueError, match="budget"):
                     f2core.minrank_sweep(m, budget_s=budget)

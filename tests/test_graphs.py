@@ -7,7 +7,6 @@ import random
 import networkx as nx
 import pytest
 
-from booldim import f2core
 from booldim.errors import CapacityError, FormatError
 from booldim.graphs import (
     CliqueFamily,
@@ -17,8 +16,6 @@ from booldim.graphs import (
     complete_graph,
     cycle_graph,
     find_duo,
-    graph_of_form,
-    max_clique_size,
     ortho_graph,
     ortho_graph_H,
     parse_edge_list,
@@ -29,7 +26,25 @@ from booldim.graphs import (
     write_edge_list,
     write_graph6,
 )
-from conftest import perturbed, random_graph, random_symmetric_rows, row_tuples
+from conftest import max_clique_size, perturbed, random_graph, random_symmetric_rows, row_tuples
+
+
+def graph_of_form(gram) -> Graph:
+    """Non-orthogonality graph of the symmetric form with Gram rows ``gram``
+    on F2^d: vertex x is the coefficient vector x, and x ~ y iff x^T B y = 1."""
+    d = len(gram)
+
+    def form(x: int, y: int) -> int:
+        by = 0
+        for i in range(d):
+            if (y >> i) & 1:
+                by ^= gram[i]
+        return (x & by).bit_count() & 1
+
+    size = 1 << d
+    return Graph.from_edges(
+        size, [(x, y) for x in range(size) for y in range(x + 1, size) if form(x, y)]
+    )
 
 
 class TestGraphRows:
@@ -149,8 +164,7 @@ class TestFindDuo:
 
     def test_degenerate_form_kernel_gives_duo(self):
         # Form with e_0 in the kernel: {zero vector, kernel vector} is a module.
-        m = f2core.F2Matrix.from_lists([[0, 0], [0, 1]])
-        g = graph_of_form(m)
+        g = graph_of_form((0b00, 0b10))
         assert find_duo(g) == (0, 1)
 
     def test_adjacent_duo_found(self):

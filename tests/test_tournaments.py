@@ -25,9 +25,14 @@ from booldim.tournaments import (
     invert,
     is_acyclic,
     max_inversion_table,
+)
+from conftest import (
+    all_tournaments_labeled,
+    perturbed,
+    random_tournament,
+    row_tuples,
     three_cycles_through,
 )
-from conftest import all_tournaments_labeled, perturbed, random_tournament, row_tuples
 
 
 def three_cycle() -> Tournament:
@@ -524,6 +529,16 @@ class TestEnumerationAndTable:
     def test_table_capacity(self):
         with pytest.raises(CapacityError):
             max_inversion_table(7)
+
+    def test_table_rejects_bad_budget_on_full_cache(self):
+        # The budget is checked before the cache is read, so a cache that
+        # holds every class cannot hide a malformed one.
+        cache: dict[str, int] = {}
+        assert max_inversion_table(3, index_cache=cache) == 1
+        assert len(cache) == 2
+        for budget in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="budget"):
+                max_inversion_table(3, budget_s=budget, index_cache=cache)
 
 
 class TestTextFormat:
