@@ -37,6 +37,144 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+PARITY_FILES = {
+    "g.g6": "Dvw\n",
+    "p5.txt": "0 1\n1 2\n2 3\n3 4\n",
+    "t8.txt": "0 1\n0 2\n0 3\n3 4\n4 5\n4 6\n6 7\n",
+    "s5.txt": "5\n01000\n00100\n10010\n11001\n11100\n",
+}
+
+# verb: (argv, text reply, --json record without elapsed_ms and version)
+PARITY = {
+    "graph dims": (
+        ["graph", "dims", "--graph6", "g.g6"],
+        "boolean=3 inner=3 geometric=2 symplectic=2\n"
+        "trichotomy: geo-symp-eq-bool-minus-1\n"
+        "witness diagonal: []\n"
+        "witness cliques: [[0, 1, 2, 3, 4], [1, 2], [3, 4]]\n",
+        {"command": "graph dims",
+         "input_digest": "3926e63080e29d88a3dbd3ebecdf807531c7a99b01c3fde23c4c96ce8b55ab69",
+         "params": {"graph6": "g.g6", "group": "graph", "verb": "dims"},
+         "result": {"boolean": 3,
+                    "geometric": 2,
+                    "inner": 3,
+                    "symplectic": 2,
+                    "trichotomy": "geo-symp-eq-bool-minus-1"},
+         "witness": {"cliques": [[0, 1, 2, 3, 4], [1, 2], [3, 4]], "diagonal": []}},
+    ),
+    "graph oracle-check": (
+        ["graph", "oracle-check", "--edges", "p5.txt"],
+        "boolean=4 oracle=4 -> AGREE\n",
+        {"command": "graph oracle-check",
+         "input_digest": "723eee12f244bc1bd1e4648685d613233d8b31a2ee280f5d2837c79c28ca6842",
+         "params": {"edges": "p5.txt", "group": "graph", "verb": "oracle-check"},
+         "result": {"agree": True, "boolean": 4, "oracle": 4},
+         "witness": None},
+    ),
+    "tree mstar": (
+        ["tree", "mstar", "--edges", "t8.txt"],
+        "m = 5\n"
+        "  star center=0 leaves=[1, 2, 3]\n"
+        "  star center=4 leaves=[3, 5, 6]\n"
+        "  trivial center=6 leaves=[7]\n",
+        {"command": "tree mstar",
+         "input_digest": "d16eeb5214fb76320ebeb14a56e2ed72726cc75bbb93f6be51459f397eb156e5",
+         "params": {"edges": "t8.txt", "group": "tree", "verb": "mstar"},
+         "result": {"m": 5},
+         "witness": {"stars": [{"center": 0, "leaves": [1, 2, 3]},
+                               {"center": 4, "leaves": [3, 5, 6]},
+                               {"center": 6, "leaves": [7]}]}},
+    ),
+    "tree verify": (
+        ["tree", "verify", "--edges", "t8.txt"],
+        "independence=5 boolean=5 m=5 -> EQUAL\n",
+        {"command": "tree verify",
+         "input_digest": "d16eeb5214fb76320ebeb14a56e2ed72726cc75bbb93f6be51459f397eb156e5",
+         "params": {"edges": "t8.txt", "group": "tree", "verb": "verify"},
+         "result": {"boolean": 5, "equal": True, "independence": 5, "m": 5},
+         "witness": None},
+    ),
+    "tournament index family": (
+        ["tournament", "index", "--family", "c3sum", "--n", "2"],
+        "inversion index = 2\n"
+        "invert in sequence: [[0, 2], [3, 5]]\n"
+        "resulting order: [0, 1, 2, 3, 4, 5]\n",
+        {"command": "tournament index",
+         "input_digest": "0735ff145b5efdf5430c207ccfe0f51875b0500e096af50e6ab77fcd311617cb",
+         "params": {"family": "c3sum", "group": "tournament", "n": 2, "verb": "index"},
+         "result": {"index": 2},
+         "witness": {"order": [0, 1, 2, 3, 4, 5], "subsets": [[0, 2], [3, 5]]}},
+    ),
+    "tournament index file": (
+        ["tournament", "index", "--file", "s5.txt"],
+        "inversion index = 2\n"
+        "invert in sequence: [[0, 2, 3, 4], [1, 3, 4]]\n"
+        "resulting order: [0, 1, 3, 2, 4]\n",
+        {"command": "tournament index",
+         "input_digest": "95396727dd3749259060f035a31bb2319dd8c98f164c96ed796fce58cd59dd87",
+         "params": {"file": "s5.txt", "group": "tournament", "verb": "index"},
+         "result": {"index": 2},
+         "witness": {"order": [0, 1, 3, 2, 4], "subsets": [[0, 2, 3, 4], [1, 3, 4]]}},
+    ),
+    "tournament table": (
+        ["tournament", "table", "--n", "4", "--no-cache"],
+        "i(4) = 1 over 4 isomorphism classes\n",
+        {"command": "tournament table",
+         "input_digest": "4f287c5840aa89d4b722c7e331e779f8fbc3c62642abf557ad3014ea4bd7a7aa",
+         "params": {"group": "tournament", "n": 4, "verb": "table"},
+         "result": {"classes": 4, "max_index": 1, "n": 4},
+         "witness": {"indices": [{"index": 0, "tournament": "4\n0000\n1000\n1100\n1110\n"},
+                                 {"index": 1, "tournament": "4\n0000\n1001\n1100\n1010\n"},
+                                 {"index": 1, "tournament": "4\n0001\n1000\n1100\n0110\n"},
+                                 {"index": 1, "tournament": "4\n0001\n1000\n1101\n0100\n"}]}},
+    ),
+    "tournament embeds": (
+        ["tournament", "embeds", "--pattern", "acyclic:3", "--target", "s5.txt"],
+        "embeds\n",
+        {"command": "tournament embeds",
+         "input_digest": "aaf2b5ce70e1f84c44e11b806f9399afbdea1153e0096afd03e719f9c14198b0",
+         "params": {"group": "tournament",
+                    "pattern": "acyclic:3",
+                    "target": "s5.txt",
+                    "verb": "embeds"},
+         "result": {"embeds": True, "pattern_n": 3, "target_n": 5},
+         "witness": None},
+    ),
+    "generate tournament": (
+        ["generate", "--family", "strongpath", "--n", "4"],
+        "4\n"
+        "0100\n"
+        "0010\n"
+        "1001\n"
+        "1100\n",
+        None,
+    ),
+    "generate graph": (
+        ["generate", "--family", "ortho", "--n", "2"],
+        "CB\n",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("verb", list(PARITY))
+def test_reply_parity(tmp_path, capsys, monkeypatch, verb):
+    # The exact text reply and --json record of every verb on fixed inputs,
+    # so that a change to the command layer shows in any byte it moves.
+    argv, text, record = PARITY[verb]
+    monkeypatch.chdir(tmp_path)
+    for name, content in PARITY_FILES.items():
+        (tmp_path / name).write_text(content)
+    assert run(capsys, *argv) == (0, text, "")
+    if record is not None:
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        reply = json.loads(out)
+        assert out == json.dumps(reply, sort_keys=True, separators=(",", ":")) + "\n"
+        assert reply.pop("elapsed_ms") >= 0
+        assert reply == {**record, "version": cli.__version__}
+
+
 def test_graph_dims_k5(tmp_path, cache_dir, capsys):
     g6 = tmp_path / "k5.g6"
     g6.write_text(write_graph6(complete_graph(5)) + "\n")
