@@ -8,7 +8,8 @@ is checked by the library function that builds it.  The tournament table
 keeps its per-class indices in a write-once cache directory, keyed by the
 tournament and the booldim version; no other command touches it.
 
-Exit codes: 0 success, 2 malformed input, 3 capacity or budget exceeded.
+Exit codes: 0 success, 1 a cross-check disagreed (graph oracle-check MISMATCH,
+tree verify UNEQUAL), 2 malformed input, 3 capacity or budget exceeded.
 """
 
 from __future__ import annotations
@@ -38,19 +39,6 @@ def _digest(data: bytes) -> str:
 # ---------------------------------------------------------------------------
 # Cache
 # ---------------------------------------------------------------------------
-
-
-def _cache_dir(args) -> Path | None:
-    if args.no_cache:
-        return None
-    raw = args.cache_dir or os.environ.get(CACHE_ENV)
-    path = Path(raw) if raw else Path.home() / ".cache" / "booldim"
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"warning: cache directory unusable: {exc}", file=sys.stderr)
-        return None
-    return path
 
 
 def _write_once(path: Path, text: str):
@@ -97,6 +85,19 @@ class FileIndexCache:
         _write_once(self._path(key), _stable_json({"tournament": key, "index": value}))
 
 
+def _index_cache(args) -> FileIndexCache | None:
+    if args.no_cache:
+        return None
+    raw = args.cache_dir or os.environ.get(CACHE_ENV)
+    path = Path(raw) if raw else Path.home() / ".cache" / "booldim"
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"warning: cache directory unusable: {exc}", file=sys.stderr)
+        return None
+    return FileIndexCache(path)
+
+
 # ---------------------------------------------------------------------------
 # Input loading
 # ---------------------------------------------------------------------------
@@ -109,15 +110,12 @@ def _read_input(path: str) -> bytes:
 
 
 def _load_graph(args) -> tuple[graphs.Graph, bytes]:
-    if args.graph6 and args.edges:
+    if bool(args.graph6) == bool(args.edges):
         raise ValueError("give exactly one of --graph6 / --edges")
+    raw = _read_input(args.graph6 or args.edges)
     if args.graph6:
-        raw = _read_input(args.graph6)
         return graphs.parse_graph6(raw.decode("ascii")), raw
-    if args.edges:
-        raw = _read_input(args.edges)
-        return graphs.parse_edge_list(raw.decode()), raw
-    raise ValueError("an input graph is required (--graph6 or --edges)")
+    return graphs.parse_edge_list(raw.decode()), raw
 
 
 TOURNAMENT_FAMILIES = {
@@ -136,64 +134,33 @@ GRAPH_FAMILIES = {
 }
 
 
-def _load_tournament(args) -> tuple[tournaments.Tournament, bytes]:
-    if getattr(args, "family", None):
-        if args.n is None:
-            raise ValueError("--family needs --n")
-        t = _tournament_family(args.family, args.n)
-        return t, t.to_text().encode()
-    if getattr(args, "file", None):
-        raw = _read_input(args.file)
-        return tournaments.Tournament.from_text(raw.decode()), raw
-    raise ValueError("an input tournament is required (--file or --family)")
+def _tournament_family(name: str, n: int) -> tuple[tournaments.Tournament, bytes]:
+    if name not in TOURNAMENT_FAMILIES:
+        raise ValueError(f"unknown tournament family {name!r}; "
+                         f"choose from {sorted(TOURNAMENT_FAMILIES)}")
+    t = TOURNAMENT_FAMILIES[name](n)
+    return t, t.to_text().encode()
 
 
-def _tournament_family(name: str, n: int) -> tournaments.Tournament:
-    try:
-        gen = TOURNAMENT_FAMILIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown tournament family {name!r}; choose from {sorted(TOURNAMENT_FAMILIES)}"
-        ) from None
-    return gen(n)
+def _tournament_file(path: str) -> tuple[tournaments.Tournament, bytes]:
+    raw = _read_input(path)
+    return tournaments.Tournament.from_text(raw.decode()), raw
 
 
 def _tournament_spec(spec: str) -> tuple[tournaments.Tournament, bytes]:
     """A path, '-', or 'family:n' shorthand."""
     if ":" in spec and not Path(spec).exists():
         name, _, arg = spec.partition(":")
-        t = _tournament_family(name, int(arg))
-        return t, t.to_text().encode()
-    raw = _read_input(spec)
-    return tournaments.Tournament.from_text(raw.decode()), raw
+        return _tournament_family(name, int(arg))
+    return _tournament_file(spec)
 
 
 # ---------------------------------------------------------------------------
-# Record emission
+# Commands: each returns (input bytes, result, witness, text lines, exit code)
 # ---------------------------------------------------------------------------
 
 
-def _emit(args, command: str, digest: str, params: dict, result, witness, started: float):
-    record = {
-        "command": command,
-        "input_digest": digest,
-        "params": params,
-        "result": result,
-        "witness": witness,
-        "elapsed_ms": round(1000 * (time.perf_counter() - started), 3),
-        "version": __version__,
-    }
-    if args.json:
-        print(_stable_json(record))
-
-
-# ---------------------------------------------------------------------------
-# Commands
-# ---------------------------------------------------------------------------
-
-
-def _cmd_graph_dims(args) -> int:
-    started = time.perf_counter()
+def _graph_dims(args):
     g, raw = _load_graph(args)
     report = dims.dimension_report(g, budget_s=args.budget)
     result = {
@@ -207,141 +174,99 @@ def _cmd_graph_dims(args) -> int:
         "diagonal": graphs.set_bits(report.witness_diagonal),
         "cliques": report.witness_cliques.as_sets(),
     }
-    _emit(args, "graph dims", _digest(raw), _params(args), result, witness, started)
-    if not args.json:
-        print(
-            f"boolean={report.boolean} inner={report.inner} "
-            f"geometric={report.geometric} symplectic={report.symplectic}"
-        )
-        print(f"trichotomy: {report.trichotomy_case.value}")
-        print(f"witness diagonal: {witness['diagonal']}")
-        print(f"witness cliques: {witness['cliques']}")
-    return 0
+    lines = [
+        f"boolean={report.boolean} inner={report.inner} "
+        f"geometric={report.geometric} symplectic={report.symplectic}",
+        f"trichotomy: {report.trichotomy_case.value}",
+        f"witness diagonal: {witness['diagonal']}",
+        f"witness cliques: {witness['cliques']}",
+    ]
+    return raw, result, witness, lines, 0
 
 
-def _cmd_graph_oracle_check(args) -> int:
-    started = time.perf_counter()
+def _graph_oracle_check(args):
     g, raw = _load_graph(args)
     value, _ = dims.boolean_dim(g, budget_s=args.budget)
     oracle = dims.boolean_dim_oracle(g, value)
     agree = oracle == value
     result = {"boolean": value, "oracle": oracle, "agree": agree}
-    _emit(args, "graph oracle-check", _digest(raw), _params(args), result, None, started)
-    if not args.json:
-        print(f"boolean={value} oracle={oracle} -> {'AGREE' if agree else 'MISMATCH'}")
-    return 0 if agree else 1
+    line = f"boolean={value} oracle={oracle} -> {'AGREE' if agree else 'MISMATCH'}"
+    return raw, result, None, [line], 0 if agree else 1
 
 
-def _cmd_tree_mstar(args) -> int:
-    started = time.perf_counter()
+def _tree_mstar(args):
     g, raw = _load_graph(args)
-    tree = trees.Tree.from_graph(g)
-    value, decomposition = trees.m_star(tree)
-    result = {"m": value}
-    witness = {
-        "stars": [
-            {"center": s.center, "leaves": list(s.leaves)} for s in decomposition.stars
-        ]
-    }
-    _emit(args, "tree mstar", _digest(raw), _params(args), result, witness, started)
-    if not args.json:
-        print(f"m = {value}")
-        for star in decomposition.stars:
-            kind = "trivial" if len(star.leaves) == 1 else "star"
-            print(f"  {kind} center={star.center} leaves={list(star.leaves)}")
-    return 0
+    value, decomposition = trees.m_star(trees.Tree.from_graph(g))
+    stars = [{"center": s.center, "leaves": list(s.leaves)} for s in decomposition.stars]
+    lines = [f"m = {value}"] + [
+        f"  {'trivial' if len(s['leaves']) == 1 else 'star'} "
+        f"center={s['center']} leaves={s['leaves']}"
+        for s in stars
+    ]
+    return raw, {"m": value}, {"stars": stars}, lines, 0
 
 
-def _cmd_tree_verify(args) -> int:
-    started = time.perf_counter()
+def _tree_verify(args):
     g, raw = _load_graph(args)
     tree = trees.Tree.from_graph(g)
     ind_value, _ = dims.ind_mod2(g, budget_s=args.budget)
     bool_value, _ = dims.boolean_dim(g, budget_s=args.budget)
     star_value, _ = trees.m_star(tree)
     equal = ind_value == bool_value == star_value
-    result = {
-        "independence": ind_value,
-        "boolean": bool_value,
-        "m": star_value,
-        "equal": equal,
-    }
-    _emit(args, "tree verify", _digest(raw), _params(args), result, None, started)
-    if not args.json:
-        print(f"independence={ind_value} boolean={bool_value} m={star_value} -> "
-              f"{'EQUAL' if equal else 'UNEQUAL'}")
-    return 0 if equal else 1
+    result = {"independence": ind_value, "boolean": bool_value, "m": star_value, "equal": equal}
+    line = (f"independence={ind_value} boolean={bool_value} m={star_value} -> "
+            f"{'EQUAL' if equal else 'UNEQUAL'}")
+    return raw, result, None, [line], 0 if equal else 1
 
 
-def _cmd_tournament_index(args) -> int:
-    started = time.perf_counter()
-    t, raw = _load_tournament(args)
+def _tournament_index(args):
+    if bool(args.file) == bool(args.family):
+        raise ValueError("give exactly one of --file / --family")
+    if args.family and args.n is None:
+        raise ValueError("--family needs --n")
+    t, raw = _tournament_file(args.file) if args.file else _tournament_family(args.family, args.n)
     value, certificate = tournaments.inversion_index(t, budget_s=args.budget)
-    result = {"index": value}
     witness = {
         "subsets": [graphs.set_bits(s) for s in certificate.subsets],
         "order": list(certificate.order),
     }
-    _emit(args, "tournament index", _digest(raw), _params(args), result, witness, started)
-    if not args.json:
-        print(f"inversion index = {value}")
-        print(f"invert in sequence: {witness['subsets']}")
-        print(f"resulting order: {witness['order']}")
-    return 0
+    lines = [
+        f"inversion index = {value}",
+        f"invert in sequence: {witness['subsets']}",
+        f"resulting order: {witness['order']}",
+    ]
+    return raw, {"index": value}, witness, lines, 0
 
 
-def _cmd_tournament_table(args) -> int:
-    started = time.perf_counter()
-    cache = _cache_dir(args)
-    table = tournaments.inversion_table(
-        args.n,
-        budget_s=args.budget,
-        index_cache=FileIndexCache(cache) if cache is not None else None,
-    )
+def _tournament_table(args):
+    cache = _index_cache(args)
+    table = tournaments.inversion_table(args.n, budget_s=args.budget, index_cache=cache)
     value = max(index for _, index in table)
     per_class = [{"tournament": rep.to_text(), "index": index} for rep, index in table]
-    digest = _digest(f"table:{args.n}".encode())
     result = {"n": args.n, "max_index": value, "classes": len(table)}
-    _emit(args, "tournament table", digest, _params(args), result,
-          {"indices": per_class}, started)
-    if not args.json:
-        print(f"i({args.n}) = {value} over {len(table)} isomorphism classes")
-    return 0
+    line = f"i({args.n}) = {value} over {len(table)} isomorphism classes"
+    return f"table:{args.n}".encode(), result, {"indices": per_class}, [line], 0
 
 
-def _cmd_tournament_embeds(args) -> int:
-    started = time.perf_counter()
+def _tournament_embeds(args):
     pattern, raw_p = _tournament_spec(args.pattern)
     target, raw_t = _tournament_spec(args.target)
     answer = tournaments.embeds(pattern, target)
-    digest = _digest(raw_p + b"\x00" + raw_t)
     result = {"embeds": answer, "pattern_n": pattern.n, "target_n": target.n}
-    _emit(args, "tournament embeds", digest, _params(args), result, None, started)
-    if not args.json:
-        print("embeds" if answer else "does not embed")
-    return 0
+    line = "embeds" if answer else "does not embed"
+    return raw_p + b"\x00" + raw_t, result, None, [line], 0
 
 
-def _cmd_generate(args) -> int:
+def _generate(args):
     if args.family in TOURNAMENT_FAMILIES:
-        sys.stdout.write(_tournament_family(args.family, args.n).to_text())
-        return 0
-    if args.family in GRAPH_FAMILIES:
-        print(graphs.write_graph6(GRAPH_FAMILIES[args.family](args.n)))
-        return 0
-    raise ValueError(
-        f"unknown family {args.family!r}; tournaments: {sorted(TOURNAMENT_FAMILIES)}, "
-        f"graphs: {sorted(GRAPH_FAMILIES)}"
-    )
+        raw = _tournament_family(args.family, args.n)[1]
+        return raw, None, None, raw.decode().splitlines(), 0
+    return b"", None, None, [graphs.write_graph6(GRAPH_FAMILIES[args.family](args.n))], 0
 
 
 def _params(args) -> dict:
-    skip = {"func", "json", "cache_dir", "no_cache", "workers"}
-    return {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in skip and v is not None and not callable(v)
-    }
+    skip = {"command", "json", "cache_dir", "no_cache", "workers"}
+    return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -349,22 +274,72 @@ def _params(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser):
-    parser.add_argument("--json", action="store_true", help="emit a JSON run record")
+def _record_flags(p):
+    p.add_argument("--json", action="store_true", help="emit a JSON run record")
     # Accepted for old command lines and ignored: every command runs in one process.
-    parser.add_argument("--workers", type=int, help=argparse.SUPPRESS)
-    parser.add_argument("--budget", type=float, default=None, metavar="SECONDS",
-                        help="hard wall-clock bound for each search (exceeding is an error)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="per-class index cache of 'tournament table' "
-                             f"(default ${CACHE_ENV} or ~/.cache/booldim)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="compute every class of 'tournament table' afresh")
+    p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
+    p.add_argument("--cache-dir", help="per-class index cache of 'tournament table' "
+                                       f"(default ${CACHE_ENV} or ~/.cache/booldim)")
 
 
-def _add_graph_input(parser):
-    parser.add_argument("--graph6", metavar="PATH", help="graph6 input ('-' for stdin)")
-    parser.add_argument("--edges", metavar="PATH", help="edge-list input ('-' for stdin)")
+def _budget_flag(p):
+    p.add_argument("--budget", type=float, metavar="SECONDS",
+                   help="hard wall-clock bound for each search (exceeding is an error)")
+
+
+def _graph_flags(p):
+    p.add_argument("--graph6", metavar="PATH", help="graph6 input ('-' for stdin)")
+    p.add_argument("--edges", metavar="PATH", help="edge-list input ('-' for stdin)")
+
+
+def _index_flags(p):
+    p.add_argument("--file", metavar="PATH", help="tournament text input ('-' for stdin)")
+    p.add_argument("--family", choices=sorted(TOURNAMENT_FAMILIES), help="generate the input")
+    p.add_argument("--n", type=int, help="family size parameter")
+
+
+def _table_flags(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--no-cache", action="store_true", help="compute every class afresh")
+
+
+def _embeds_flags(p):
+    p.add_argument("--pattern", required=True, metavar="SPEC",
+                   help="path, '-', or family:n (e.g. cn:7)")
+    p.add_argument("--target", required=True, metavar="SPEC")
+
+
+def _generate_flags(p):
+    p.add_argument("--family", required=True,
+                   choices=sorted(TOURNAMENT_FAMILIES) + sorted(GRAPH_FAMILIES))
+    p.add_argument("--n", type=int, required=True, help="size parameter (k for ortho families)")
+    p.set_defaults(json=False)
+
+
+GROUPS = {
+    "graph": "graph dimension commands",
+    "tree": "tree decomposition commands",
+    "tournament": "tournament commands",
+}
+
+#: One row per verb: its help text, the functions that add its flags, and the
+#: function that computes its reply.
+COMMANDS = {
+    "graph dims": ("all four dimensions with witnesses",
+                   (_graph_flags, _record_flags, _budget_flag), _graph_dims),
+    "graph oracle-check": ("compare against the brute-force oracle",
+                           (_graph_flags, _record_flags, _budget_flag), _graph_oracle_check),
+    "tree mstar": ("optimal star decomposition", (_graph_flags, _record_flags), _tree_mstar),
+    "tree verify": ("three-way equality of the tree invariants",
+                    (_graph_flags, _record_flags, _budget_flag), _tree_verify),
+    "tournament index": ("exact inversion index with certificate",
+                         (_index_flags, _record_flags, _budget_flag), _tournament_index),
+    "tournament table": ("max inversion index over all n-vertex tournaments",
+                         (_table_flags, _record_flags, _budget_flag), _tournament_table),
+    "tournament embeds": ("induced subtournament test",
+                          (_embeds_flags, _record_flags), _tournament_embeds),
+    "generate": ("write a named family member to stdout", (_generate_flags,), _generate),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,71 +350,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"booldim {__version__}")
     top = parser.add_subparsers(dest="group", required=True)
-
-    graph = top.add_parser("graph", help="graph dimension commands").add_subparsers(
-        dest="verb", required=True
-    )
-    p = graph.add_parser("dims", help="all four dimensions with witnesses")
-    _add_graph_input(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_graph_dims)
-    p = graph.add_parser("oracle-check", help="compare against the brute-force oracle")
-    _add_graph_input(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_graph_oracle_check)
-
-    tree = top.add_parser("tree", help="tree decomposition commands").add_subparsers(
-        dest="verb", required=True
-    )
-    p = tree.add_parser("mstar", help="optimal star decomposition")
-    _add_graph_input(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_tree_mstar)
-    p = tree.add_parser("verify", help="three-way equality of the tree invariants")
-    _add_graph_input(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_tree_verify)
-
-    tour = top.add_parser("tournament", help="tournament commands").add_subparsers(
-        dest="verb", required=True
-    )
-    p = tour.add_parser("index", help="exact inversion index with certificate")
-    p.add_argument("--file", metavar="PATH", help="tournament text input ('-' for stdin)")
-    p.add_argument("--family", choices=sorted(TOURNAMENT_FAMILIES), help="generate the input")
-    p.add_argument("--n", type=int, help="family size parameter")
-    _add_common(p)
-    p.set_defaults(func=_cmd_tournament_index)
-    p = tour.add_parser("table", help="max inversion index over all n-vertex tournaments")
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_tournament_table)
-    p = tour.add_parser("embeds", help="induced subtournament test")
-    p.add_argument("--pattern", required=True, metavar="SPEC",
-                   help="path, '-', or family:n (e.g. cn:7)")
-    p.add_argument("--target", required=True, metavar="SPEC")
-    _add_common(p)
-    p.set_defaults(func=_cmd_tournament_embeds)
-
-    p = top.add_parser("generate", help="write a named family member to stdout")
-    p.add_argument("--family", required=True,
-                   choices=sorted(TOURNAMENT_FAMILIES) + sorted(GRAPH_FAMILIES))
-    p.add_argument("--n", type=int, required=True, help="size parameter (k for ortho families)")
-    p.set_defaults(func=_cmd_generate, json=False)
-
+    verbs = {
+        group: top.add_parser(group, help=text).add_subparsers(dest="verb", required=True)
+        for group, text in GROUPS.items()
+    }
+    for name, (text, flags, _) in COMMANDS.items():
+        group, _, verb = name.partition(" ")
+        p = verbs[group].add_parser(verb, help=text) if verb else top.add_parser(name, help=text)
+        for add in flags:
+            add(p)
+        p.set_defaults(command=name)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except (BudgetExceededError, CapacityError) as exc:
+        raw, result, witness, lines, code = COMMANDS[args.command][2](args)
+    except (ValueError, OSError, BudgetExceededError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, (ValueError, OSError)) else 3
+    if args.json:
+        print(_stable_json({
+            "command": args.command,
+            "input_digest": _digest(raw),
+            "params": _params(args),
+            "result": result,
+            "witness": witness,
+            "elapsed_ms": round(1000 * (time.perf_counter() - started), 3),
+            "version": __version__,
+        }))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

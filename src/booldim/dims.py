@@ -71,35 +71,9 @@ class IndWitness:
         return len(self.vertices)
 
 
-def _isolated_free_core(g: Graph) -> tuple[Graph, list[int]]:
-    """Subgraph on the non-isolated vertices, plus the index mapping back."""
-    core = [v for v in range(g.n) if g.adj[v]]
-    return g.induced(core), core
-
-
-def _lift_mask(mask: int, core: list[int]) -> int:
-    out = 0
-    for i, v in enumerate(core):
-        if (mask >> i) & 1:
-            out |= 1 << v
-    return out
-
-
 def symplectic_dim(g: Graph) -> int:
     """Rank of the adjacency matrix over GF(2)."""
     return _kernels_py.rank(g.adj, g.n)
-
-
-def _core_sweep(g: Graph, budget_s: float | None):
-    """One diagonal search on the isolated-free core (isolated vertices never
-    help), with the core's vertex mapping back to g.  A core of more than
-    DEFAULT_SWEEP_CAP vertices is refused before any search."""
-    core_g, core = _isolated_free_core(g)
-    if core_g.n > DEFAULT_SWEEP_CAP:
-        raise CapacityError(
-            f"diagonal sweep capped at {DEFAULT_SWEEP_CAP} non-isolated vertices, got {core_g.n}"
-        )
-    return core, f2core.minrank_sweep(core_g, budget_s=budget_s)
 
 
 def _plus_diagonal(g: Graph, mask: int) -> list[int]:
@@ -108,34 +82,12 @@ def _plus_diagonal(g: Graph, mask: int) -> list[int]:
     return [row | (mask & (1 << v)) for v, row in enumerate(g.adj)]
 
 
-def _geometric_witness(g: Graph, core: list[int], sweep: f2core.Sweep) -> int:
-    """The geometric mask lifted to g, its rank replayed against the value."""
-    mask = _lift_mask(sweep.geometric_mask, core)
-    if _kernels_py.rank(_plus_diagonal(g, mask), g.n) != sweep.geometric:
-        raise AssertionError("diagonal witness does not attain the geometric minimum")
-    return mask
-
-
-def _boolean_witness(g: Graph, core: list[int], sweep: f2core.Sweep) -> CliqueFamily:
-    """The clique family of the boolean mask lifted to g, checked to have the
-    boolean value as its size and to realize g: an edge exactly where an odd
-    number of its cliques meet.  Isolated vertices have zero rows and a zero
-    diagonal bit, so the elimination never touches them."""
-    family = witness_family(g, _lift_mask(sweep.boolean_mask, core))
-    if len(family) != sweep.boolean:
-        raise AssertionError("clique witness size differs from the boolean dimension")
-    if realize(family).adj != g.adj:
-        raise AssertionError("clique witness does not realize the graph")
-    return family
-
-
 def geometric_dim(g: Graph, *, budget_s: float | None = None) -> tuple[int, int]:
-    """Minimum rank over all 2^n diagonal masks, with an achieving mask.
-
-    The witness is the first mask in Gray-code order attaining the minimum.
-    """
-    core, sweep = _core_sweep(g, budget_s)
-    return sweep.geometric, _geometric_witness(g, core, sweep)
+    """Minimum rank over all 2^n diagonal masks, with an achieving mask: the
+    first mask in Gray-code order attaining the minimum.  A view of
+    dimension_report, which checks the mask."""
+    report = dimension_report(g, budget_s=budget_s)
+    return report.geometric, report.witness_diagonal
 
 
 def boolean_dim(g: Graph, *, budget_s: float | None = None) -> tuple[int, CliqueFamily]:
@@ -144,19 +96,36 @@ def boolean_dim(g: Graph, *, budget_s: float | None = None) -> tuple[int, Clique
     Computed as the least rank over the nonzero diagonal masks (see
     f2core.minrank_sweep); the witness family is read off a factorization
     A + D = M^T M of the optimal Gram matrix (see witness_family), one clique
-    per row of M.
+    per row of M.  A view of dimension_report, which checks the family.
     """
-    core, sweep = _core_sweep(g, budget_s)
-    return sweep.boolean, _boolean_witness(g, core, sweep)
+    report = dimension_report(g, budget_s=budget_s)
+    return report.boolean, report.witness_cliques
 
 
 def dimension_report(g: Graph, *, budget_s: float | None = None) -> DimensionReport:
     """All four dimensions, the trichotomy case, and both witnesses, from one
-    diagonal search.  Both witnesses are checked before they are returned."""
+    diagonal search on the non-isolated vertices (isolated ones never help; a
+    core of more than DEFAULT_SWEEP_CAP vertices is refused before it starts).
+    Both witnesses are lifted back to g and checked before they are returned:
+    the mask by replaying its rank, the clique family by its size and by
+    realizing g (isolated vertices have zero rows, so no clique meets them).
+    """
+    core = [v for v in range(g.n) if g.adj[v]]
+    if len(core) > DEFAULT_SWEEP_CAP:
+        raise CapacityError(
+            f"diagonal sweep capped at {DEFAULT_SWEEP_CAP} non-isolated vertices, got {len(core)}"
+        )
+    sweep = f2core.minrank_sweep(g.induced(core), budget_s=budget_s)
+    geo, boo = sweep.geometric, sweep.boolean
+    diag = sum(1 << core[i] for i in set_bits(sweep.geometric_mask))
+    if _kernels_py.rank(_plus_diagonal(g, diag), g.n) != geo:
+        raise AssertionError("diagonal witness does not attain the geometric minimum")
+    cliques = witness_family(g, sum(1 << core[i] for i in set_bits(sweep.boolean_mask)))
+    if len(cliques) != boo:
+        raise AssertionError("clique witness size differs from the boolean dimension")
+    if realize(cliques).adj != g.adj:
+        raise AssertionError("clique witness does not realize the graph")
     symp = symplectic_dim(g)
-    core, sweep = _core_sweep(g, budget_s)
-    geo, diag = sweep.geometric, _geometric_witness(g, core, sweep)
-    boo, cliques = sweep.boolean, _boolean_witness(g, core, sweep)
     if geo == boo == symp:
         case = TrichotomyCase.ALL_EQUAL
     elif geo == symp == boo - 1:

@@ -76,6 +76,8 @@ class Tournament:
 
     @classmethod
     def acyclic(cls, n: int) -> "Tournament":
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
         return cls.from_order(range(n))
 
     def has_arc(self, u: int, v: int) -> bool:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from booldim import cli, dims
+from booldim import cli, dims, trees
 from booldim.graphs import complete_graph, ortho_graph_H, path_graph, write_graph6
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -157,14 +157,19 @@ PARITY = {
 }
 
 
-@pytest.mark.parametrize("verb", list(PARITY))
-def test_reply_parity(tmp_path, capsys, monkeypatch, verb):
-    # The exact text reply and --json record of every verb on fixed inputs,
-    # so that a change to the command layer shows in any byte it moves.
-    argv, text, record = PARITY[verb]
+@pytest.fixture()
+def parity_files(tmp_path, monkeypatch):
+    """The PARITY_FILES, written into a fresh working directory."""
     monkeypatch.chdir(tmp_path)
     for name, content in PARITY_FILES.items():
         (tmp_path / name).write_text(content)
+
+
+@pytest.mark.parametrize("verb", list(PARITY))
+def test_reply_parity(parity_files, capsys, verb):
+    # The exact text reply and --json record of every verb on fixed inputs,
+    # so that a change to the command layer shows in any byte it moves.
+    argv, text, record = PARITY[verb]
     assert run(capsys, *argv) == (0, text, "")
     if record is not None:
         code, out, err = run(capsys, *argv, "--json")
@@ -469,6 +474,76 @@ def test_malformed_input_exit_2(tmp_path, cache_dir, capsys):
 def test_missing_input_exit_2(cache_dir, capsys):
     code, _, err = run(capsys, "graph", "dims")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["graph", "dims", "--graph6", "g.g6", "--edges", "p5.txt"], "--graph6 / --edges"),
+        (["tournament", "index", "--file", "s5.txt", "--family", "c3sum", "--n", "2"],
+         "--file / --family"),
+    ],
+    ids=["graph", "tournament"],
+)
+def test_two_inputs_exit_2(parity_files, capsys, argv, flags):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"give exactly one of {flags}" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "tournament index --family acyclic --n -4",
+        "generate --family acyclic --n -1",
+        "tournament embeds --pattern acyclic:-2 --target cn:5",
+    ],
+)
+def test_negative_acyclic_size_exit_2(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, out) == (2, "")
+    assert "nonnegative" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "tree mstar --edges t8.txt --budget 1",
+        "tournament embeds --pattern cn:5 --target cn:6 --budget 1",
+        "graph dims --edges t8.txt --no-cache",
+        "graph oracle-check --edges t8.txt --no-cache",
+        "tree mstar --edges t8.txt --no-cache",
+        "tree verify --edges t8.txt --no-cache",
+        "tournament index --family c3sum --n 2 --no-cache",
+        "tournament embeds --pattern cn:5 --target cn:6 --no-cache",
+    ],
+)
+def test_flag_the_verb_does_not_read_exit_2(capsys, command):
+    # --budget bounds only the verbs that search and --no-cache concerns
+    # only the table, so elsewhere they are refused rather than ignored.
+    with pytest.raises(SystemExit) as refused:
+        cli.main(command.split())
+    assert refused.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, module, name, fake, line",
+    [
+        ("graph oracle-check --edges p5.txt", dims, "boolean_dim_oracle",
+         lambda g, k_max: k_max - 1, "boolean=4 oracle=3 -> MISMATCH"),
+        ("tree verify --edges t8.txt", trees, "m_star",
+         lambda tree: (6, None), "independence=5 boolean=5 m=6 -> UNEQUAL"),
+    ],
+    ids=["oracle-check", "verify"],
+)
+def test_disagreement_exit_1(parity_files, capsys, monkeypatch, command, module, name, fake, line):
+    # A planted disagreement between the two sides of a cross-check.
+    monkeypatch.setattr(module, name, fake)
+    assert run(capsys, *command.split()) == (1, line + "\n", "")
+    code, out, _ = run(capsys, *command.split(), "--json")
+    assert code == 1
+    assert False in json.loads(out)["result"].values()
 
 
 def test_capacity_exit_3(tmp_path, cache_dir, capsys):

@@ -134,6 +134,12 @@ class TestIsAcyclic:
         for n in range(1, 8):
             assert is_acyclic(Tournament.acyclic(n)) == tuple(range(n))
 
+    def test_acyclic_refuses_negative_sizes(self):
+        assert Tournament.acyclic(0).n == 0
+        for n in (-1, -4):
+            with pytest.raises(ValueError):
+                Tournament.acyclic(n)
+
     def test_from_order_round_trips(self):
         rng = random.Random(14)
         for _ in range(60):
