@@ -259,9 +259,10 @@ def _tournament_embeds(args):
 
 def _generate(args):
     if args.family in TOURNAMENT_FAMILIES:
-        raw = _tournament_family(args.family, args.n)[1]
-        return raw, None, None, raw.decode().splitlines(), 0
-    return b"", None, None, [graphs.write_graph6(GRAPH_FAMILIES[args.family](args.n))], 0
+        lines = _tournament_family(args.family, args.n)[0].to_text().splitlines()
+    else:
+        lines = [graphs.write_graph6(GRAPH_FAMILIES[args.family](args.n))]
+    return b"", None, None, lines, 0
 
 
 def _params(args) -> dict:
