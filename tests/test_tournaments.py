@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,7 @@ from booldim.tournaments import (
     gen_strong_path,
     inversion_index,
     inversion_index_oracle,
+    inversion_table,
     invert,
     is_acyclic,
     max_inversion_table,
@@ -330,6 +333,48 @@ class TestOrderSearch:
         monkeypatch.setattr(_kernels_py, "diagonal_sweep", counted)
         assert inversion_index(gen_strong_path(7))[0] == 3
         assert calls <= 100
+
+
+PARITY = json.loads(Path(__file__).with_name("inversion_parity.json").read_text())
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "golden.json").read_text()
+)
+
+
+class TestSearchParity:
+    """(index, order, subsets) pinned from the order search: 20 seeded random
+    tournaments for each n = 3..8, the 13 benchmark tournaments (on the
+    n = 8 ones the best >= 4 probe cuts prefixes) and the classes of
+    inversion_table(1..5).  Any change to a value, the lexicographically
+    first optimal order or its clique witness shows here."""
+
+    @staticmethod
+    def result(t):
+        value, cert = inversion_index(t)
+        return [value, list(cert.order), list(cert.subsets)]
+
+    def test_random_tournaments_3_to_8(self):
+        rng = random.Random(19)
+        for i, (arcs, *pinned) in enumerate(PARITY["random"]):
+            t = random_tournament(rng, 3 + i % 6)
+            assert list(t.arcs) == arcs
+            assert self.result(t) == pinned, arcs
+
+    def test_benchmark_tournaments(self):
+        inputs = [
+            Tournament.from_text(item["input"])
+            for family in ("c3sum", "cn", "strongpath", "tournament")
+            for _, pool in sorted(GOLDEN["pools"][family].items())
+            for item in pool
+        ]
+        assert [list(t.arcs) for t in inputs] == [arcs for arcs, *_ in PARITY["golden"]]
+        for t, (arcs, *pinned) in zip(inputs, PARITY["golden"]):
+            assert self.result(t) == pinned, arcs
+
+    def test_table_1_to_5(self):
+        for n, pinned in PARITY["table"].items():
+            table = inversion_table(int(n))
+            assert [[list(rep.arcs), value] for rep, value in table] == pinned
 
 
 class TestOracle:
