@@ -99,28 +99,17 @@ def diagonal_sweep(rows, n: int, cap: int, stop_at: int = 0, deadline: float | N
 # ---------------------------------------------------------------------------
 
 
-def _prefix_bound(dis, n: int, exact: bool) -> int:
-    """Lower bound on the final boolean cost from a partial disagreement graph.
-
-    0 for no edges; 1 when the edges so far form exactly a clique on their
-    support (the only graphs of dimension 1); with ``exact``, 3 when the
-    graph has no realization by two cliques (see _cost_at_most_2); else 2.
-    Sound because the boolean dimension is monotone under induced subgraphs
-    and the prefix subgraph is already final.
-    """
-    support = 0
-    for v in range(n):
-        if dis[v]:
-            support |= 1 << v
-    if support == 0:
-        return 0
-    for v in range(n):
-        bit = 1 << v
-        if support & bit and dis[v] != support ^ bit:
-            if exact and not _cost_at_most_2(dis, support):
-                return 3
-            return 2
-    return 1
+def _is_clique(rows, support: int) -> bool:
+    """Whether the graph with adjacency ``rows`` is one clique on its set
+    ``support`` of non-isolated vertices (the graphs of cost 1, and the empty
+    graph)."""
+    rest = support
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        if rows[bit.bit_length() - 1] != support ^ bit:
+            return False
+    return True
 
 
 def _cost_at_most_2(rows, support: int) -> bool:
@@ -184,81 +173,74 @@ def inversion_search(arcs, n: int, deadline: float | None = None):
 
     Orders are visited lexicographically; for each complete order the
     disagreement graph (pairs whose arc opposes the order) gets its boolean
-    cost from a diagonal search capped at the running best.  Every order
-    costs at most n, so the incumbent n + 1 cuts nothing before the first
-    leaf, the identity order, which then sets the best.  A prefix is
-    abandoned when a lower bound on any completion already meets the running
-    best.  The bound is 0/1/2 by a cheap clique test at every node and, while
-    the best is 3, 3 by an exact test for cost <= 2 on prefixes of four or
-    more vertices.  For n >= 8, while the best is 4 or more, the exact
-    boolean cost of the prefix subgraph from a diagonal search serves as the
-    bound at every depth from n - 3 on.  The search polls the deadline at its
-    first node and then every 1024 nodes, besides the polls of its diagonal
-    searches.
+    cost from a diagonal search capped at the running best, and the search
+    stops at the first order of cost 1.  Every order costs at most n, so the
+    incumbent n + 1 cuts nothing before the first leaf, the identity order,
+    which then sets the best.  The boolean cost is monotone under induced
+    subgraphs and a prefix's disagreement graph is final, so a prefix is
+    abandoned once its graph cannot cost less than the best:
+      best 2: its edges do not form one clique on its non-isolated vertices;
+      best 3: it has four or more vertices (every graph on three costs at
+      most 2) and is not the XOR of two cliques (an exact bit-row test);
+      best 4 or more, n >= 8: from depth n - 3 on, a diagonal search of the
+      prefix graph, capped at the best, finds no cost below it.
+    The search polls the deadline at its first node and then every 1024
+    nodes, besides the polls of its diagonal searches.
 
     Returns (best, perm, mask) for the lexicographically first optimal order.
     """
     best = n + 1
     best_perm = None
     best_mask = -1
-    probe_depth = n - 3 if n >= 8 else 0
     dis = [0] * n
     perm = []
-    used = 0
     nodes = 0
 
-    def rec(depth):
+    def rec(used):
+        # Returns True once the search may stop.
         nonlocal best, best_perm, best_mask, nodes
         if not nodes & _CHECK_MASK:
             _check_deadline(deadline)
         nodes += 1
-        if depth == n:
+        if len(perm) == n:
             cost, mask = diagonal_sweep(dis, n, best, 1, deadline)
             if mask >= 0:
                 best, best_mask = cost, mask
                 best_perm = tuple(perm)
-            return best > 1
+            return best <= 1
         for v in range(n):
-            bit = 1 << v
-            if used & bit:
+            if used >> v & 1:
                 continue
-            new_edges = arcs[v] & used
-            _place(v, new_edges)
-            # The exact test starts at four placed vertices: every graph on
-            # three costs at most 2.
-            bound = _prefix_bound(dis, n, best == 3 and depth >= 3)
-            keep_going = True
-            if best > 3 and probe_depth and probe_depth <= depth + 1 < n:
-                if _prefix_dim_at_least(best):
-                    bound = best
-            if bound < best:
-                keep_going = rec(depth + 1)
-            _unplace(v, new_edges)
-            if not keep_going:
-                return False
-        return True
+            edges = arcs[v] & used
+            toggle(v, edges)
+            perm.append(v)
+            done = can_beat_best() and rec(used | 1 << v)
+            perm.pop()
+            toggle(v, edges)
+            if done:
+                return True
+        return False
 
-    def _place(v, new_edges):
-        nonlocal used
-        dis[v] = new_edges
-        m = new_edges
-        while m:
-            low = m & -m
-            dis[low.bit_length() - 1] |= 1 << v
-            m ^= low
-        used |= 1 << v
-        perm.append(v)
+    def toggle(v, edges):
+        # XOR v's disagreement edges to the placed vertices in or out.
+        dis[v] ^= edges
+        while edges:
+            low = edges & -edges
+            dis[low.bit_length() - 1] ^= 1 << v
+            edges ^= low
 
-    def _unplace(v, new_edges):
-        nonlocal used
-        perm.pop()
-        used ^= 1 << v
-        dis[v] = 0
-        m = new_edges
-        while m:
-            low = m & -m
-            dis[low.bit_length() - 1] &= ~(1 << v)
-            m ^= low
+    def can_beat_best():
+        p = len(perm)
+        if best > 3:
+            return not (n >= 8 and n - 3 <= p < n and _prefix_dim_at_least(best))
+        if best == 3 and p < 4:
+            return True
+        support = 0  # the non-isolated vertices: the union of the rows
+        for v in perm:
+            support |= dis[v]
+        if best == 2:
+            return _is_clique(dis, support)
+        return not support or _cost_at_most_2(dis, support)
 
     def _prefix_dim_at_least(threshold):
         p = len(perm)

@@ -5,8 +5,9 @@ verify, tournament index / table / embeds, and generate for the built-in
 families.  Reports are human-readable by default and a stable JSON record
 with --json.  Commands only parse, call the library and print: each witness
 is checked by the library function that builds it.  The tournament table
-keeps its per-class indices in a write-once cache directory, keyed by the
-tournament and the booldim version; no other command touches it.
+keeps its per-class indices in a cache directory, each entry written to a
+temp file and renamed into place, keyed by the tournament and the booldim
+version; no other command touches it.
 
 Exit codes: 0 success, 1 a cross-check disagreed (graph oracle-check MISMATCH,
 tree verify UNEQUAL), 2 malformed input, 3 capacity or budget exceeded.
@@ -42,15 +43,15 @@ def _digest(data: bytes) -> str:
 
 
 def _write_once(path: Path, text: str):
-    if path.exists():
-        return
+    # A temp file renamed over the entry, so a reader never sees half of one.
     tmp = path.with_suffix(".tmp-%d" % os.getpid())
     tmp.write_text(text)
     tmp.replace(path)
 
 
 class FileIndexCache:
-    """Per-tournament inversion indices persisted as write-once JSON files.
+    """Per-tournament inversion indices persisted as JSON files, each written
+    to a temp file and renamed into place.
 
     Entries are keyed on the booldim version as well as the tournament text,
     so an index computed by another build is a miss.
@@ -80,8 +81,6 @@ class FileIndexCache:
         return value
 
     def __setitem__(self, key: str, value: int):
-        # Only misses are stored, so an existing file here is unreadable.
-        self._path(key).unlink(missing_ok=True)
         _write_once(self._path(key), _stable_json({"tournament": key, "index": value}))
 
 
@@ -224,6 +223,8 @@ def _tournament_index(args):
         raise ValueError("give exactly one of --file / --family")
     if args.family and args.n is None:
         raise ValueError("--family needs --n")
+    if args.file and args.n is not None:
+        raise ValueError("--n needs --family")
     t, raw = _tournament_file(args.file) if args.file else _tournament_family(args.family, args.n)
     value, certificate = tournaments.inversion_index(t, budget_s=args.budget)
     witness = {

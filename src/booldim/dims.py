@@ -20,7 +20,7 @@ from itertools import combinations
 
 from . import _kernels_py, f2core
 from .errors import CapacityError
-from .graphs import CliqueFamily, Graph, realize, set_bits
+from .graphs import CliqueFamily, Graph, _vertex_mask, realize, set_bits
 
 #: The pruned diagonal search still grows exponentially on its worst inputs (a
 #: 16-vertex path takes about 33k nodes), so cap it: a stray huge input fails
@@ -296,13 +296,10 @@ def is_independent_mod2(g: Graph, vertices) -> bool:
     Only the X whose fold is even on every vertex outside the set can fail,
     so only those are tested.  ind_mod2 checks its witness with this test.
     """
-    vs = sorted(set(vertices))
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    if len(vs) > SUBSET_TEST_CAP:
+    mask = _vertex_mask(g.n, vertices)
+    if mask.bit_count() > SUBSET_TEST_CAP:
         raise CapacityError(f"independence test capped at sets of {SUBSET_TEST_CAP}")
-    return not _closed_subset(g.adj, vs, ~sum(1 << v for v in vs))
+    return not _closed_subset(g.adj, set_bits(mask), ~mask)
 
 
 def ind_mod2(g: Graph, *, budget_s: float | None = None) -> tuple[int, IndWitness]:

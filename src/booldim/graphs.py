@@ -29,22 +29,11 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        if self.n > MAX_VERTICES:
-            raise CapacityError(f"graphs are capped at {MAX_VERTICES} vertices")
-        if len(self.adj) != self.n:
-            raise ValueError(f"expected {self.n} adjacency rows, got {len(self.adj)}")
-        limit = 1 << self.n
+        _check_rows(self.n, self.adj, "graphs", "loop")
         for i, row in enumerate(self.adj):
-            if not 0 <= row < limit:
-                raise ValueError(f"row {i} has bits outside the vertex range")
-            if (row >> i) & 1:
-                raise ValueError(f"loop at vertex {i}")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if ((self.adj[i] >> j) & 1) != ((self.adj[j] >> i) & 1):
-                    raise ValueError(f"adjacency not symmetric at ({i}, {j})")
+            for j in set_bits(row):
+                if not (self.adj[j] >> i) & 1:
+                    raise ValueError(f"adjacency not symmetric at ({min(i, j)}, {max(i, j)})")
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -84,10 +73,7 @@ class Graph:
 
     def induced(self, vertices) -> "Graph":
         """Subgraph induced by the given vertices, relabeled in their sorted order."""
-        keep = sorted(set(vertices))
-        for v in keep:
-            if not 0 <= v < self.n:
-                raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
+        keep = set_bits(_vertex_mask(self.n, vertices))
         index = {v: i for i, v in enumerate(keep)}
         adj = [0] * len(keep)
         for v in keep:
@@ -134,6 +120,39 @@ class CliqueFamily:
         }
 
 
+def _check_size(n: int, kind: str) -> None:
+    """Refuse a vertex count below 0 or above MAX_VERTICES; ``kind`` names
+    the objects in the message.  Generators call it before they build rows."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if n > MAX_VERTICES:
+        raise CapacityError(f"{kind} are capped at {MAX_VERTICES} vertices")
+
+
+def _check_rows(n: int, rows, kind: str, loop: str) -> None:
+    """The checks that Graph and Tournament share: the vertex count first,
+    then n rows, each inside 0..n-1 and without its own bit (a ``loop``)."""
+    _check_size(n, kind)
+    if len(rows) != n:
+        raise ValueError(f"expected {n} rows, got {len(rows)}")
+    limit = 1 << n
+    for i, row in enumerate(rows):
+        if not 0 <= row < limit:
+            raise ValueError(f"row {i} has bits outside the vertex range")
+        if (row >> i) & 1:
+            raise ValueError(f"{loop} at vertex {i}")
+
+
+def _vertex_mask(n: int, vertices) -> int:
+    """Bitmask of the given vertices, each of which must lie in 0..n-1."""
+    mask = 0
+    for v in vertices:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} outside 0..{n - 1}")
+        mask |= 1 << v
+    return mask
+
+
 def _neighborhood(adj, mask: int) -> int:
     """Union of the rows adj[v] over the vertices v in mask."""
     out = 0
@@ -176,11 +195,8 @@ def boolean_sum(graphs: list[Graph]) -> Graph:
 
 def clique_graph(n: int, vertices) -> Graph:
     """Graph on 0..n-1 whose edges are all pairs within the given subset."""
-    mask = 0
-    for v in vertices:
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} outside 0..{n - 1}")
-        mask |= 1 << v
+    _check_size(n, "graphs")
+    mask = _vertex_mask(n, vertices)
     adj = tuple((mask & ~(1 << i)) if (mask >> i) & 1 else 0 for i in range(n))
     return Graph(n, adj)
 
@@ -224,12 +240,14 @@ def validate_representation(g: Graph, f) -> bool:
 
 
 def path_graph(n: int) -> Graph:
+    _check_size(n, "graphs")
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycles need at least 3 vertices")
+    _check_size(n, "graphs")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 

@@ -21,9 +21,8 @@ from . import dims, f2core
 from ._backend import kernels
 from ._parallel import run_tasks
 from .errors import CapacityError, FormatError
-from .graphs import Graph
+from .graphs import Graph, _check_rows, _check_size, _vertex_mask, set_bits
 
-MAX_VERTICES = 64
 INDEX_VERTEX_CAP = 9
 ORACLE_VERTEX_CAP = 5
 ORACLE_LENGTH_CAP = 2
@@ -40,23 +39,10 @@ class Tournament:
     arcs: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        if self.n > MAX_VERTICES:
-            raise CapacityError(f"tournaments are capped at {MAX_VERTICES} vertices")
-        if len(self.arcs) != self.n:
-            raise ValueError(f"expected {self.n} arc rows, got {len(self.arcs)}")
-        limit = 1 << self.n
-        for i, row in enumerate(self.arcs):
-            if not 0 <= row < limit:
-                raise ValueError(f"row {i} has bits outside the vertex range")
-            if (row >> i) & 1:
-                raise ValueError(f"self-arc at vertex {i}")
+        _check_rows(self.n, self.arcs, "tournaments", "self-arc")
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                forward = (self.arcs[i] >> j) & 1
-                backward = (self.arcs[j] >> i) & 1
-                if forward == backward:
+                if (self.arcs[i] >> j) & 1 == (self.arcs[j] >> i) & 1:
                     raise ValueError(f"pair ({i}, {j}) needs exactly one arc")
 
     @classmethod
@@ -76,8 +62,7 @@ class Tournament:
 
     @classmethod
     def acyclic(cls, n: int) -> "Tournament":
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        _check_size(n, "tournaments")
         return cls.from_order(range(n))
 
     def has_arc(self, u: int, v: int) -> bool:
@@ -133,30 +118,26 @@ class InversionCertificate:
 
 
 def invert(t: Tournament, vertices) -> Tournament:
-    """Reverse every arc with both endpoints in the given set S: row u of
-    each u in S flips on S minus u."""
-    mask = 0
-    for v in vertices:
-        if not 0 <= v < t.n:
-            raise ValueError(f"vertex {v} outside 0..{t.n - 1}")
-        mask |= 1 << v
-    arcs = tuple(
-        row ^ mask ^ (1 << u) if (mask >> u) & 1 else row for u, row in enumerate(t.arcs)
-    )
-    return Tournament(t.n, arcs)
+    """Reverse every arc with both endpoints in the given set S."""
+    return apply_inversions(t, [vertices])
 
 
 def apply_inversions(t: Tournament, subsets) -> Tournament:
     """Invert the subsets in sequence (an arc flips iff it lies in an odd
-    number).  A subset is a vertex iterable or a bitmask; a mask's vertices
-    get the same range check, and a negative mask is refused."""
+    number): row u of each u in a subset S flips on S minus u.  A subset is a
+    vertex iterable or a bitmask; a vertex or mask bit outside 0..n-1, or a
+    negative mask, is refused."""
+    arcs = list(t.arcs)
     for subset in subsets:
         if isinstance(subset, int):
-            if subset < 0:
-                raise ValueError(f"subset mask {subset} is negative")
-            subset = [v for v in range(subset.bit_length()) if (subset >> v) & 1]
-        t = invert(t, subset)
-    return t
+            if not 0 <= subset < 1 << t.n:
+                raise ValueError(f"subset mask {subset} has vertices outside 0..{t.n - 1}")
+            mask = subset
+        else:
+            mask = _vertex_mask(t.n, subset)
+        for u in set_bits(mask):
+            arcs[u] ^= mask ^ (1 << u)
+    return Tournament(t.n, tuple(arcs))
 
 
 def is_acyclic(t: Tournament) -> tuple[int, ...] | None:
@@ -253,17 +234,14 @@ def gen_c3_sum(n: int) -> Tournament:
     if n < 1:
         raise ValueError("need at least one block")
     size = 3 * n
+    _check_size(size, "tournaments")
     arcs = [0] * size
     for i in range(n):
         a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
-        arcs[a] |= 1 << b
-        arcs[b] |= 1 << c
-        arcs[c] |= 1 << a
-        later = 0
-        for j in range(3 * (i + 1), size):
-            later |= 1 << j
-        for v in (a, b, c):
-            arcs[v] |= later
+        later = (1 << size) - (1 << (c + 1))
+        arcs[a] = later | 1 << b
+        arcs[b] = later | 1 << c
+        arcs[c] = later | 1 << a
     return Tournament(size, tuple(arcs))
 
 
@@ -271,6 +249,7 @@ def gen_strong_path(n: int) -> Tournament:
     """Forward arcs (i, i+1) plus every back arc (j, i) with j > i + 1."""
     if n < 1:
         raise ValueError("need at least one vertex")
+    _check_size(n, "tournaments")
     arcs = [0] * n
     for i in range(n - 1):
         arcs[i] |= 1 << (i + 1)
@@ -391,25 +370,26 @@ def inversion_table(
         raise CapacityError(f"table sweep capped at {TABLE_VERTEX_CAP} vertices")
     f2core._deadline(budget_s)  # a malformed budget fails even on a full cache
     reps = enumerate_tournaments(n)
-    values: dict[int, int] = {}
+    values: dict[str, int] = {}  # by the representative's text
     missing = []
-    for pos, rep in enumerate(reps):
+    for rep in reps:
         key = rep.to_text()
         if index_cache is not None and key in index_cache:
-            values[pos] = int(index_cache[key])
+            values[key] = int(index_cache[key])
         else:
-            missing.append(pos)
-    tasks = [partial(inversion_index, reps[pos], budget_s=budget_s) for pos in missing]
-    for pos, (value, _) in zip(missing, run_tasks(tasks)):
-        values[pos] = value
+            missing.append(rep)
+    tasks = [partial(inversion_index, rep, budget_s=budget_s) for rep in missing]
+    for rep, (value, _) in zip(missing, run_tasks(tasks)):
+        key = rep.to_text()
+        values[key] = value
         if index_cache is not None:
-            index_cache[reps[pos].to_text()] = value
+            index_cache[key] = value
     result = max(values.values())
     if n >= 6:
         low = math.ceil((n - 1) / 2 - math.log2(n))
         if not low <= result <= n - 4:
             raise AssertionError(f"i({n}) = {result} escapes the proven window")
-    return [(rep, values[pos]) for pos, rep in enumerate(reps)]
+    return [(rep, values[rep.to_text()]) for rep in reps]
 
 
 def max_inversion_table(

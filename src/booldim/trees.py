@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotATreeError
-from .graphs import CliqueFamily, Graph, _neighborhood, path_graph, realize, set_bits
+from .graphs import CliqueFamily, Graph, _neighborhood, _vertex_mask, path_graph, realize, set_bits
 
 
 @dataclass(frozen=True)
@@ -230,14 +230,10 @@ def decomposition_to_cliques(tree: Tree, decomposition: StarDecomposition) -> Cl
     decomposition.validate_for(tree)
     members = []
     for star in decomposition.stars:
-        leaves_mask = 0
-        for leaf in star.leaves:
-            leaves_mask |= 1 << leaf
-        if len(star.leaves) == 1:
-            members.append(leaves_mask | (1 << star.center))
-        else:
-            members.append(leaves_mask | (1 << star.center))
-            members.append(leaves_mask)
+        leaves = _vertex_mask(tree.n, star.leaves)
+        members.append(leaves | (1 << star.center))
+        if len(star.leaves) > 1:
+            members.append(leaves)
     return CliqueFamily(tree.n, tuple(members))
 
 

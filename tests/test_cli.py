@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -369,8 +370,9 @@ def test_tournament_table_unreadable_cache_entry_is_a_miss(cache_dir, capsys):
     code, out, _ = run(capsys, "tournament", "table", "--n", "4", "--json")
     assert code == 0
     assert json.loads(out)["result"]["max_index"] == 1
-    # The miss was recomputed and stored over the unreadable entry.
+    # The miss was recomputed and renamed over the unreadable entry.
     assert json.loads(entries[0].read_text())["index"] in (0, 1)
+    assert sorted(cache_dir.iterdir()) == entries
 
 
 def test_tournament_table_cache_keyed_on_version(cache_dir, capsys, monkeypatch):
@@ -491,6 +493,13 @@ def test_two_inputs_exit_2(parity_files, capsys, argv, flags):
     assert f"give exactly one of {flags}" in err
 
 
+def test_index_file_with_n_exit_2(parity_files, capsys):
+    # --n sizes a family; with --file it would be ignored.
+    code, out, err = run(capsys, "tournament", "index", "--file", "s5.txt", "--n", "9")
+    assert (code, out) == (2, "")
+    assert "--n needs --family" in err
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -550,6 +559,15 @@ def test_capacity_exit_3(tmp_path, cache_dir, capsys):
     code, _, err = run(capsys, "tournament", "table", "--n", "9")
     assert code == 3
     assert "error:" in err
+
+
+def test_oversize_family_exit_3_before_building(capsys):
+    # 20,000 rows would take tens of seconds to build; the cap comes first.
+    started = time.perf_counter()
+    code, out, err = run(capsys, "generate", "--family", "strongpath", "--n", "20000")
+    assert (code, out) == (3, "")
+    assert "capped at 64" in err
+    assert time.perf_counter() - started < 0.5
 
 
 def test_budget_exhaustion_exit_3(tmp_path, cache_dir, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -26,6 +27,7 @@ from booldim.graphs import (
     write_edge_list,
     write_graph6,
 )
+from booldim.tournaments import Tournament, gen_antichain_cn, gen_c3_sum, gen_strong_path
 from conftest import max_clique_size, perturbed, random_graph, random_symmetric_rows, row_tuples
 
 
@@ -80,6 +82,22 @@ class TestGraphRows:
     def test_asymmetric_rows_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             Graph(2, (0b10, 0b00))
+
+
+GENERATORS = [path_graph, cycle_graph, complete_graph, Tournament.acyclic,
+              gen_strong_path, gen_antichain_cn, gen_c3_sum]
+
+
+@pytest.mark.parametrize("generate", GENERATORS, ids=lambda f: f.__name__)
+def test_generators_check_the_cap_before_building(generate):
+    # Rows of 20,000 vertices would take n^2/2 bits and tens of seconds to
+    # build; the cap refuses the size first.  gen_c3_sum(k) has 3k vertices.
+    blocks = 3 if generate is gen_c3_sum else 1
+    for n in (65, 20_000):
+        started = time.perf_counter()
+        with pytest.raises(CapacityError):
+            generate((n + blocks - 1) // blocks)
+        assert time.perf_counter() - started < 0.5
 
 
 class TestInduced:
