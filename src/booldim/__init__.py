@@ -29,11 +29,9 @@ from .errors import (
 from .graphs import (
     CliqueFamily,
     Graph,
-    boolean_sum,
     clique_graph,
     complete_graph,
     cycle_graph,
-    find_duo,
     ortho_graph,
     ortho_graph_H,
     parse_edge_list,
@@ -65,10 +63,8 @@ from .trees import (
     StarDecomposition,
     Tree,
     decomposition_to_cliques,
-    enumerate_trees,
     find_reduction,
     m_star,
-    verify_tree_theorem,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +87,6 @@ __all__ = [
     "apply_inversions",
     "boolean_dim",
     "boolean_dim_oracle",
-    "boolean_sum",
     "clique_graph",
     "complete_graph",
     "cycle_graph",
@@ -100,8 +95,6 @@ __all__ = [
     "disagreement_graph",
     "embeds",
     "enumerate_tournaments",
-    "enumerate_trees",
-    "find_duo",
     "find_reduction",
     "gen_antichain_cn",
     "gen_c3_sum",
@@ -125,7 +118,6 @@ __all__ = [
     "realize",
     "symplectic_dim",
     "validate_representation",
-    "verify_tree_theorem",
     "write_edge_list",
     "write_graph6",
 ]

@@ -45,8 +45,12 @@ def _digest(data: bytes) -> str:
 def _write_once(path: Path, text: str):
     # A temp file renamed over the entry, so a reader never sees half of one.
     tmp = path.with_suffix(".tmp-%d" % os.getpid())
-    tmp.write_text(text)
-    tmp.replace(path)
+    try:
+        tmp.write_text(text)
+        tmp.replace(path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class FileIndexCache:
@@ -81,7 +85,11 @@ class FileIndexCache:
         return value
 
     def __setitem__(self, key: str, value: int):
-        _write_once(self._path(key), _stable_json({"tournament": key, "index": value}))
+        """Store the entry; a failed write only warns, as a failed read is a miss."""
+        try:
+            _write_once(self._path(key), _stable_json({"tournament": key, "index": value}))
+        except OSError as exc:
+            print(f"warning: cache entry not written: {exc}", file=sys.stderr)
 
 
 def _index_cache(args) -> FileIndexCache | None:

@@ -18,7 +18,8 @@ import enum
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import _kernels_py, f2core
+from . import _kernels_py as kernels
+from . import f2core
 from .errors import CapacityError
 from .graphs import CliqueFamily, Graph, _vertex_mask, realize, set_bits
 
@@ -73,7 +74,7 @@ class IndWitness:
 
 def symplectic_dim(g: Graph) -> int:
     """Rank of the adjacency matrix over GF(2)."""
-    return _kernels_py.rank(g.adj, g.n)
+    return kernels.rank(g.adj, g.n)
 
 
 def _plus_diagonal(g: Graph, mask: int) -> list[int]:
@@ -118,7 +119,7 @@ def dimension_report(g: Graph, *, budget_s: float | None = None) -> DimensionRep
     sweep = f2core.minrank_sweep(g.induced(core), budget_s=budget_s)
     geo, boo = sweep.geometric, sweep.boolean
     diag = sum(1 << core[i] for i in set_bits(sweep.geometric_mask))
-    if _kernels_py.rank(_plus_diagonal(g, diag), g.n) != geo:
+    if kernels.rank(_plus_diagonal(g, diag), g.n) != geo:
         raise AssertionError("diagonal witness does not attain the geometric minimum")
     cliques = witness_family(g, sum(1 << core[i] for i in set_bits(sweep.boolean_mask)))
     if len(cliques) != boo:
@@ -316,7 +317,7 @@ def ind_mod2(g: Graph, *, budget_s: float | None = None) -> tuple[int, IndWitnes
         raise CapacityError(f"independence search capped at {IND_SEARCH_CAP} vertices")
     deadline = f2core._deadline(budget_s)
     shifted = [row ^ (1 << v) for v, row in enumerate(g.adj)]
-    bound = min(_kernels_py.rank(g.adj, g.n), _kernels_py.rank(shifted, g.n))
+    bound = min(kernels.rank(g.adj, g.n), kernels.rank(shifted, g.n))
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     best: tuple[int, ...] = ()
     chosen: list[int] = []
@@ -324,8 +325,8 @@ def ind_mod2(g: Graph, *, budget_s: float | None = None) -> tuple[int, IndWitnes
 
     def rec(i: int, members: int):
         nonlocal best, nodes
-        if not nodes & _kernels_py._CHECK_MASK:
-            _kernels_py._check_deadline(deadline)
+        if not nodes & kernels._CHECK_MASK:
+            kernels._check_deadline(deadline)
         nodes += 1
         if i == g.n:
             best = tuple(sorted(chosen))
@@ -338,7 +339,7 @@ def ind_mod2(g: Graph, *, budget_s: float | None = None) -> tuple[int, IndWitnes
             chosen.pop()
         rest = order[i + 1:]
         if len(best) < bound and len(chosen) + len(rest) > len(best):
-            if _kernels_py.rank([g.adj[u] for u in chosen + rest], g.n) > len(best):
+            if kernels.rank([g.adj[u] for u in chosen + rest], g.n) > len(best):
                 rec(i + 1, members)
 
     rec(0, 0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 from .graphs import Graph
 
 

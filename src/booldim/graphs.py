@@ -1,10 +1,10 @@
 """Undirected loopless graphs on vertices 0..n-1 with bitset adjacency rows.
 
 Vertices are always 0..n-1; labels live only at the I/O boundary.  Alongside
-the data model this module provides XOR (Boolean) sums of graphs, clique-graph
-constructors and realization of clique families, duo (two-element module)
-detection, the non-orthogonality graph generators over GF(2), representation
-validation, and graph6 / edge-list text I/O.
+the data model this module provides clique graphs and the realization of a
+clique family (the XOR of its clique graphs), the check that a vertex map
+represents a graph, the path, cycle, clique and non-orthogonality graph
+generators, and graph6 / edge-list text I/O.
 """
 
 from __future__ import annotations
@@ -112,13 +112,6 @@ class CliqueFamily:
     def as_sets(self) -> list[list[int]]:
         return [set_bits(c) for c in self.members]
 
-    def vertex_map(self) -> dict[int, frozenset[int]]:
-        """The map v -> {i : v in C_i} induced by the family."""
-        return {
-            v: frozenset(i for i, c in enumerate(self.members) if (c >> v) & 1)
-            for v in range(self.n)
-        }
-
 
 def _check_size(n: int, kind: str) -> None:
     """Refuse a vertex count below 0 or above MAX_VERTICES; ``kind`` names
@@ -174,23 +167,8 @@ def set_bits(mask: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Boolean sums and clique families
+# Clique families and representations
 # ---------------------------------------------------------------------------
-
-
-def boolean_sum(graphs: list[Graph]) -> Graph:
-    """Edge-wise XOR: {x, y} survives iff it is an edge of an odd number of inputs."""
-    if not graphs:
-        raise ValueError("boolean_sum needs at least one graph")
-    n = graphs[0].n
-    for g in graphs:
-        if g.n != n:
-            raise ValueError("boolean_sum requires a common vertex set")
-    adj = [0] * n
-    for g in graphs:
-        for i in range(n):
-            adj[i] ^= g.adj[i]
-    return Graph(n, tuple(adj))
 
 
 def clique_graph(n: int, vertices) -> Graph:
@@ -208,16 +186,6 @@ def realize(family: CliqueFamily) -> Graph:
         for i in set_bits(c):
             adj[i] ^= c & ~(1 << i)
     return Graph(family.n, tuple(adj))
-
-
-def find_duo(g: Graph) -> tuple[int, int] | None:
-    """Lexicographically least pair {a, b} with equal neighborhoods outside the pair."""
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            outside = ~((1 << a) | (1 << b))
-            if (g.adj[a] ^ g.adj[b]) & outside == 0:
-                return (a, b)
-    return None
 
 
 def validate_representation(g: Graph, f) -> bool:
@@ -259,20 +227,17 @@ ORTHO_MAX_K = 5
 ORTHO_H_MAX_K = 4
 
 
-def _form_graph(vectors, odd) -> Graph:
-    """Graph on the listed vectors: i ~ j iff odd(vectors[i], vectors[j])."""
+def _form_graph(vectors) -> Graph:
+    """Graph on the listed vectors: i ~ j iff their scalar product (popcount
+    of AND, mod 2) is 1."""
     n = len(vectors)
     adj = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
-            if odd(vectors[i], vectors[j]):
+            if (vectors[i] & vectors[j]).bit_count() & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return Graph(n, tuple(adj))
-
-
-def _odd_scalar_product(x: int, y: int) -> int:
-    return (x & y).bit_count() & 1
 
 
 def ortho_graph(k: int) -> Graph:
@@ -285,7 +250,7 @@ def ortho_graph(k: int) -> Graph:
         raise ValueError("k must be nonnegative")
     if k > ORTHO_MAX_K:
         raise CapacityError(f"ortho_graph is capped at k = {ORTHO_MAX_K} (2^k vertices)")
-    return _form_graph(range(1 << k), _odd_scalar_product)
+    return _form_graph(range(1 << k))
 
 
 def ortho_graph_H(k: int) -> Graph:
@@ -300,7 +265,7 @@ def ortho_graph_H(k: int) -> Graph:
     if k > ORTHO_H_MAX_K:
         raise CapacityError(f"ortho_graph_H is capped at k = {ORTHO_H_MAX_K}")
     vectors = [x for x in range(1 << (k + 1)) if x.bit_count() % 2 == 0]
-    return _form_graph(vectors, _odd_scalar_product)
+    return _form_graph(vectors)
 
 
 # ---------------------------------------------------------------------------

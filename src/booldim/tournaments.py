@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 
+from . import _kernels_py as kernels
 from . import dims, f2core
-from ._backend import kernels
 from ._parallel import run_tasks
 from .errors import CapacityError, FormatError
 from .graphs import Graph, _check_rows, _check_size, _vertex_mask, set_bits
@@ -70,9 +70,6 @@ class Tournament:
 
     def out_degrees(self) -> tuple[int, ...]:
         return tuple(row.bit_count() for row in self.arcs)
-
-    def dual(self) -> "Tournament":
-        return invert(self, range(self.n))
 
     @classmethod
     def from_text(cls, text: str) -> "Tournament":

@@ -235,50 +235,3 @@ def decomposition_to_cliques(tree: Tree, decomposition: StarDecomposition) -> Cl
         if len(star.leaves) > 1:
             members.append(leaves)
     return CliqueFamily(tree.n, tuple(members))
-
-
-def verify_tree_theorem(tree: Tree, *, budget_s: float | None = None) -> bool:
-    """Independently compute the three tree invariants and compare them."""
-    from .dims import boolean_dim, ind_mod2
-
-    ind_value, _ = ind_mod2(tree.graph, budget_s=budget_s)
-    bool_value, _ = boolean_dim(tree.graph, budget_s=budget_s)
-    star_value, _ = m_star(tree)
-    return ind_value == bool_value == star_value
-
-
-# ---------------------------------------------------------------------------
-# Enumeration up to isomorphism
-# ---------------------------------------------------------------------------
-
-
-def canonical_key(tree: Tree) -> str:
-    """Isomorphism-invariant encoding: AHU string rooted at the tree center."""
-    adj = tree.graph.adj
-    centers = (1 << tree.n) - 1
-    while centers.bit_count() > 2:
-        # Peel every leaf of the remaining tree at once.
-        centers &= ~sum(1 << v for v in set_bits(centers) if (adj[v] & centers).bit_count() == 1)
-    return min(_ahu_encode(adj, root, 0) for root in set_bits(centers))
-
-
-def _ahu_encode(adj, v: int, parent_bit: int) -> str:
-    parts = sorted(_ahu_encode(adj, w, 1 << v) for w in set_bits(adj[v] & ~parent_bit))
-    return "(" + "".join(parts) + ")"
-
-
-def enumerate_trees(n: int) -> list[Tree]:
-    """All trees on n vertices up to isomorphism, by leaf augmentation."""
-    if n < 1:
-        return []
-    reps: dict[str, Tree] = {}
-    single = Tree.from_edges(1, [])
-    reps[canonical_key(single)] = single
-    for size in range(2, n + 1):
-        grown: dict[str, Tree] = {}
-        for tree in reps.values():
-            for v in range(size - 1):
-                bigger = Tree.from_edges(size, tree.graph.edges() + [(v, size - 1)])
-                grown.setdefault(canonical_key(bigger), bigger)
-        reps = grown
-    return [reps[key] for key in sorted(reps)]

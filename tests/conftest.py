@@ -8,11 +8,13 @@ import time
 from itertools import combinations, product
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from booldim import _kernels_py
-from booldim.graphs import Graph
+from booldim.graphs import CliqueFamily, Graph
 from booldim.tournaments import Tournament
+from booldim.trees import Tree
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -32,6 +34,13 @@ def random_tree(rng: random.Random, n: int) -> Graph:
     perm = list(range(n))
     rng.shuffle(perm)
     return Graph.from_edges(n, [(perm[v], perm[rng.randrange(v)]) for v in range(1, n)])
+
+
+def nonisomorphic_trees(n: int):
+    """One Tree per isomorphism class on n vertices, from networkx, which
+    shares no code with booldim."""
+    for t in nx.nonisomorphic_trees(n):
+        yield Tree.from_edges(n, t.edges())
 
 
 def star_cost_dp(g: Graph) -> int:
@@ -106,6 +115,39 @@ def perturbed(rng: random.Random, rows):
     elif roll < 0.8:
         rows[rng.randrange(len(rows))] ^= 1 << rng.randint(0, len(rows))
     return tuple(rows)
+
+
+def boolean_sum(graphs: list[Graph]) -> Graph:
+    """Edge-wise XOR: {x, y} survives iff it is an edge of an odd number of inputs."""
+    if not graphs:
+        raise ValueError("boolean_sum needs at least one graph")
+    n = graphs[0].n
+    for g in graphs:
+        if g.n != n:
+            raise ValueError("boolean_sum requires a common vertex set")
+    adj = [0] * n
+    for g in graphs:
+        for i in range(n):
+            adj[i] ^= g.adj[i]
+    return Graph(n, tuple(adj))
+
+
+def find_duo(g: Graph) -> tuple[int, int] | None:
+    """Lexicographically least pair {a, b} with equal neighborhoods outside the pair."""
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            outside = ~((1 << a) | (1 << b))
+            if (g.adj[a] ^ g.adj[b]) & outside == 0:
+                return (a, b)
+    return None
+
+
+def vertex_map(family: CliqueFamily) -> dict[int, frozenset[int]]:
+    """The map v -> {i : v in C_i} induced by the family."""
+    return {
+        v: frozenset(i for i, c in enumerate(family.members) if (c >> v) & 1)
+        for v in range(family.n)
+    }
 
 
 def max_clique_size(g: Graph) -> int:

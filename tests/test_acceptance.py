@@ -42,8 +42,10 @@ from conftest import (
     diagonal_rank,
     enumerate_graphs,
     max_clique_size,
+    nonisomorphic_trees,
     random_graph,
     random_tournament,
+    vertex_map,
 )
 
 
@@ -88,15 +90,14 @@ def test_criterion_3_tree_three_way_equality():
     with criterion(3, "ind = boolean = m on all trees up to 9 vertices"):
         counts = []
         for n in range(1, 10):
-            reps = trees.enumerate_trees(n)
+            reps = list(nonisomorphic_trees(n))
             counts.append(len(reps))
             for tree in reps:
                 ind_value, _ = ind_mod2(tree.graph)
                 bool_value, _ = boolean_dim(tree.graph)
                 star_value, _ = trees.m_star(tree)
                 assert ind_value == bool_value == star_value
-        # Counts confirmed by the enumerator itself (cross-checked against
-        # networkx in test_trees): 47 classes at n = 9, 95 in total.
+        # The tree classes come from networkx: 47 at n = 9, 95 in total.
         assert counts == [1, 1, 1, 2, 3, 6, 11, 23, 47]
         assert sum(counts) == 95
 
@@ -170,7 +171,7 @@ def test_criterion_9_invariant_suites():
             # Witness re-validation.
             assert len(rep.witness_cliques) == rep.boolean
             assert realize(rep.witness_cliques).adj == g.adj
-            assert validate_representation(g, rep.witness_cliques.vertex_map())
+            assert validate_representation(g, vertex_map(rep.witness_cliques))
             assert diagonal_rank(g, rep.witness_diagonal) == rep.geometric
 
         for n in range(1, 6):

@@ -375,6 +375,23 @@ def test_tournament_table_unreadable_cache_entry_is_a_miss(cache_dir, capsys):
     assert sorted(cache_dir.iterdir()) == entries
 
 
+def test_tournament_table_unwritable_cache_entry_only_warns(cache_dir, capsys):
+    code, expected, _ = run(capsys, "tournament", "table", "--n", "3")
+    assert code == 0
+    entries = sorted(cache_dir.glob("tournament-index-*.json"))
+    for entry in entries:
+        # A non-empty directory at the entry's path: reading it is a miss and
+        # renaming a file over it fails.
+        entry.unlink()
+        entry.mkdir()
+        (entry / "keep").write_text("")
+    code, out, err = run(capsys, "tournament", "table", "--n", "3")
+    assert code == 0
+    assert out == expected
+    assert err.count("warning: cache entry not written") == len(entries)
+    assert sorted(cache_dir.iterdir()) == entries
+
+
 def test_tournament_table_cache_keyed_on_version(cache_dir, capsys, monkeypatch):
     with monkeypatch.context() as other_build:
         other_build.setattr(cli, "__version__", "0.0.0-other")

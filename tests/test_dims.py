@@ -20,11 +20,9 @@ from booldim.dims import (
 from booldim.errors import BudgetExceededError, CapacityError
 from booldim.graphs import (
     Graph,
-    boolean_sum,
     clique_graph,
     complete_graph,
     cycle_graph,
-    find_duo,
     ortho_graph,
     ortho_graph_H,
     parse_graph6,
@@ -32,14 +30,17 @@ from booldim.graphs import (
     realize,
     validate_representation,
 )
-from booldim.trees import enumerate_trees
 from conftest import (
+    boolean_sum,
     diagonal_rank,
     enumerate_graphs,
+    find_duo,
     max_clique_size,
+    nonisomorphic_trees,
     plus_diagonal,
     random_graph,
     random_tree,
+    vertex_map,
 )
 
 
@@ -112,7 +113,7 @@ class TestBoolean:
             value, family = boolean_dim(g)
             assert len(family) == value
             assert realize(family).adj == g.adj
-            assert validate_representation(g, family.vertex_map())
+            assert validate_representation(g, vertex_map(family))
 
     def test_isolated_vertices_ignored(self):
         g = path_graph(4)
@@ -448,7 +449,7 @@ class TestIndependence:
         cases = [g for n in range(6) for g in enumerate_graphs(n)]
         rng = random.Random(8)
         cases += [random_graph(rng, rng.randint(1, 9), rng.random()) for _ in range(300)]
-        cases += [t.graph for n in range(1, 11) for t in enumerate_trees(n)]
+        cases += [t.graph for n in range(1, 11) for t in nonisomorphic_trees(n)]
         for g in cases:
             value, witness = ind_mod2(g)
             assert (value, witness.vertices) == ind_mod2_brute(g)
@@ -524,7 +525,7 @@ def test_duo_free_witness_injective():
             continue
         checked += 1
         _, family = boolean_dim(g)
-        f = family.vertex_map()
+        f = vertex_map(family)
         assert validate_representation(g, f)
         values = list(f.values())
         assert len(set(values)) == len(values)

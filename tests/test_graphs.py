@@ -12,11 +12,9 @@ from booldim.errors import CapacityError, FormatError
 from booldim.graphs import (
     CliqueFamily,
     Graph,
-    boolean_sum,
     clique_graph,
     complete_graph,
     cycle_graph,
-    find_duo,
     ortho_graph,
     ortho_graph_H,
     parse_edge_list,
@@ -28,7 +26,15 @@ from booldim.graphs import (
     write_graph6,
 )
 from booldim.tournaments import Tournament, gen_antichain_cn, gen_c3_sum, gen_strong_path
-from conftest import max_clique_size, perturbed, random_graph, random_symmetric_rows, row_tuples
+from conftest import (
+    boolean_sum,
+    find_duo,
+    max_clique_size,
+    perturbed,
+    random_graph,
+    random_symmetric_rows,
+    row_tuples,
+)
 
 
 def graph_of_form(gram) -> Graph:
