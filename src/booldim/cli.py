@@ -4,10 +4,10 @@ One verb per artifact: graph dims / graph oracle-check, tree mstar / tree
 verify, tournament index / table / embeds, and generate for the built-in
 families.  Reports are human-readable by default and a stable JSON record
 with --json.  Commands only parse, call the library and print: each witness
-is checked by the library function that builds it.  The tournament table
-keeps its per-class indices in a cache directory, each entry written to a
+is checked by the library function that builds it.  Given --cache-dir, the
+tournament table keeps its per-class indices there, each entry written to a
 temp file and renamed into place, keyed by the tournament and the booldim
-version; no other command touches it.
+version; without it nothing is cached, and no other command touches it.
 
 Exit codes: 0 success, 1 a cross-check disagreed (graph oracle-check MISMATCH,
 tree verify UNEQUAL), 2 malformed input, 3 capacity or budget exceeded.
@@ -25,8 +25,6 @@ from pathlib import Path
 
 from . import __version__, dims, graphs, tournaments, trees
 from .errors import BudgetExceededError, CapacityError
-
-CACHE_ENV = "BOOLDIM_CACHE_DIR"
 
 
 def _stable_json(data) -> str:
@@ -69,11 +67,17 @@ class FileIndexCache:
         return self.directory / f"tournament-index-{digest}.json"
 
     def _load(self, key: str) -> int | None:
-        """The stored index, or None when the entry is missing or unreadable."""
+        """The stored index, or None when the entry is missing, unreadable,
+        names another tournament, or holds no int in 0..n for the key's n
+        vertices (the order search never needs more than n inversions)."""
         try:
-            return int(json.loads(self._path(key).read_text())["index"])
-        except (OSError, ValueError, KeyError, TypeError):
+            data = json.loads(self._path(key).read_text())
+        except (OSError, ValueError):
             return None
+        if not isinstance(data, dict) or data.get("tournament") != key:
+            return None
+        index, n = data.get("index"), int(key.partition("\n")[0])
+        return index if type(index) is int and 0 <= index <= n else None
 
     def __contains__(self, key: str) -> bool:
         return self._load(key) is not None
@@ -87,22 +91,10 @@ class FileIndexCache:
     def __setitem__(self, key: str, value: int):
         """Store the entry; a failed write only warns, as a failed read is a miss."""
         try:
+            self.directory.mkdir(parents=True, exist_ok=True)
             _write_once(self._path(key), _stable_json({"tournament": key, "index": value}))
         except OSError as exc:
             print(f"warning: cache entry not written: {exc}", file=sys.stderr)
-
-
-def _index_cache(args) -> FileIndexCache | None:
-    if args.no_cache:
-        return None
-    raw = args.cache_dir or os.environ.get(CACHE_ENV)
-    path = Path(raw) if raw else Path.home() / ".cache" / "booldim"
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"warning: cache directory unusable: {exc}", file=sys.stderr)
-        return None
-    return FileIndexCache(path)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +240,7 @@ def _tournament_index(args):
 
 
 def _tournament_table(args):
-    cache = _index_cache(args)
+    cache = FileIndexCache(Path(args.cache_dir)) if args.cache_dir else None
     table = tournaments.inversion_table(args.n, budget_s=args.budget, index_cache=cache)
     value = max(index for _, index in table)
     per_class = [{"tournament": rep.to_text(), "index": index} for rep, index in table]
@@ -275,7 +267,7 @@ def _generate(args):
 
 
 def _params(args) -> dict:
-    skip = {"command", "json", "cache_dir", "no_cache", "workers"}
+    skip = {"command", "json", "cache_dir", "workers"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
@@ -288,8 +280,8 @@ def _record_flags(p):
     p.add_argument("--json", action="store_true", help="emit a JSON run record")
     # Accepted for old command lines and ignored: every command runs in one process.
     p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
-    p.add_argument("--cache-dir", help="per-class index cache of 'tournament table' "
-                                       f"(default ${CACHE_ENV} or ~/.cache/booldim)")
+    p.add_argument("--cache-dir", metavar="DIR",
+                   help="per-class index cache of 'tournament table' (none if omitted)")
 
 
 def _budget_flag(p):
@@ -310,7 +302,6 @@ def _index_flags(p):
 
 def _table_flags(p):
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--no-cache", action="store_true", help="compute every class afresh")
 
 
 def _embeds_flags(p):

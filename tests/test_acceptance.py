@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from booldim import dims, graphs, tournaments, trees
+from booldim import dims, tournaments, trees
 from booldim.dims import (
     boolean_dim,
     boolean_dim_oracle,

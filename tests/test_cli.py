@@ -26,12 +26,6 @@ from corpus import ARGV  # noqa: E402
 from conftest import random_tree, star_cost_dp  # noqa: E402
 
 
-@pytest.fixture()
-def cache_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "cache"))
-    return tmp_path / "cache"
-
-
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
@@ -118,7 +112,7 @@ PARITY = {
          "witness": {"order": [0, 1, 3, 2, 4], "subsets": [[0, 2, 3, 4], [1, 3, 4]]}},
     ),
     "tournament table": (
-        ["tournament", "table", "--n", "4", "--no-cache"],
+        ["tournament", "table", "--n", "4"],
         "i(4) = 1 over 4 isomorphism classes\n",
         {"command": "tournament table",
          "input_digest": "4f287c5840aa89d4b722c7e331e779f8fbc3c62642abf557ad3014ea4bd7a7aa",
@@ -181,7 +175,7 @@ def test_reply_parity(parity_files, capsys, verb):
         assert reply == {**record, "version": cli.__version__}
 
 
-def test_graph_dims_k5(tmp_path, cache_dir, capsys):
+def test_graph_dims_k5(tmp_path, capsys):
     g6 = tmp_path / "k5.g6"
     g6.write_text(write_graph6(complete_graph(5)) + "\n")
     code, out, _ = run(capsys, "graph", "dims", "--graph6", str(g6))
@@ -189,7 +183,7 @@ def test_graph_dims_k5(tmp_path, cache_dir, capsys):
     assert "boolean=1" in out and "geometric=1" in out and "symplectic=4" in out
 
 
-def test_graph_dims_json_stable(tmp_path, cache_dir, capsys):
+def test_graph_dims_json_stable(tmp_path, capsys):
     g6 = tmp_path / "p6.g6"
     g6.write_text(write_graph6(path_graph(6)))
     records = []
@@ -213,7 +207,7 @@ def test_graph_dims_json_stable(tmp_path, cache_dir, capsys):
     ],
     ids=["ortho_H4", "K5_minus_two_disjoint_edges"],
 )
-def test_graph_dims_tie_case_passes_independent_check(tmp_path, cache_dir, capsys, g6, golden):
+def test_graph_dims_tie_case_passes_independent_check(tmp_path, capsys, g6, golden):
     # Graphs with geometric = symplectic = boolean - 1, where the boolean
     # witness is a nonzero mask that ties mask 0; the benchmark's own rank
     # and clique-XOR check replays the record against the paper's values.
@@ -233,7 +227,7 @@ def test_graph_dims_tie_case_passes_independent_check(tmp_path, cache_dir, capsy
     assert check_graph_dims(item, json.loads(out), g6) is None
 
 
-def test_tree_mstar_path10(tmp_path, cache_dir, capsys):
+def test_tree_mstar_path10(tmp_path, capsys):
     edges = tmp_path / "p10.txt"
     edges.write_text("".join(f"{i} {i + 1}\n" for i in range(9)))
     code, out, _ = run(capsys, "tree", "mstar", "--edges", str(edges), "--json")
@@ -243,7 +237,7 @@ def test_tree_mstar_path10(tmp_path, cache_dir, capsys):
     assert len(rec["witness"]["stars"]) == 9
 
 
-def test_tree_verify(tmp_path, cache_dir, capsys):
+def test_tree_verify(tmp_path, capsys):
     edges = tmp_path / "star.txt"
     edges.write_text("0 1\n0 2\n0 3\n0 4\n")
     code, out, _ = run(capsys, "tree", "verify", "--edges", str(edges))
@@ -257,7 +251,7 @@ def test_tree_verify(tmp_path, cache_dir, capsys):
     ids=["mstar", "verify"],
 )
 def test_tree_records_pass_independent_check(
-    tmp_path, cache_dir, capsys, command, check, max_n, count
+    tmp_path, capsys, command, check, max_n, count
 ):
     # The benchmark's own checks compare each record with the golden m of
     # the load DP oracle and, for mstar, replay the star witness against the
@@ -276,7 +270,7 @@ def test_tree_records_pass_independent_check(
         assert check(item, json.loads(out), g6) is None, g6
 
 
-def test_tournament_index_family(cache_dir, capsys):
+def test_tournament_index_family(capsys):
     code, out, _ = run(
         capsys, "tournament", "index", "--family", "c3sum", "--n", "2", "--json"
     )
@@ -296,7 +290,7 @@ TOURNAMENT_POOL = [
 
 
 @pytest.mark.parametrize("item", TOURNAMENT_POOL)
-def test_tournament_index_records_pass_independent_check(tmp_path, cache_dir, capsys, item):
+def test_tournament_index_records_pass_independent_check(tmp_path, capsys, item):
     # The benchmark's golden index and its own replay of the inversions, on
     # every tournament the benchmark draws from.
     path = tmp_path / "t.txt"
@@ -316,7 +310,7 @@ GRAPH_POOL = [
 
 
 @pytest.mark.parametrize("item", GRAPH_POOL)
-def test_graph_dims_records_pass_independent_check(tmp_path, cache_dir, capsys, item):
+def test_graph_dims_records_pass_independent_check(tmp_path, capsys, item):
     # The benchmark's golden values, its own rank of the diagonal witness and
     # its own XOR of the witness cliques, on every graph it draws from.
     path = tmp_path / "g.g6"
@@ -326,16 +320,45 @@ def test_graph_dims_records_pass_independent_check(tmp_path, cache_dir, capsys, 
     assert check_graph_dims(item, json.loads(out), item["input"]) is None
 
 
-def test_tournament_table_uses_cache(cache_dir, capsys):
-    code, out, _ = run(capsys, "tournament", "table", "--n", "4", "--json")
+def table(capsys, cache, n, *flags):
+    """`tournament table --n N` with its per-class cache in `cache`."""
+    return run(capsys, "tournament", "table", "--n", str(n), *flags, "--cache-dir", str(cache))
+
+
+def test_tournament_table_uses_cache(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    code, out, _ = table(capsys, cache, 4, "--json")
     assert code == 0
     assert json.loads(out)["result"]["max_index"] == 1
-    cached = list(cache_dir.glob("tournament-index-*.json"))
+    cached = list(cache.glob("tournament-index-*.json"))
     assert len(cached) == 4  # one per isomorphism class
     # Second run must reuse the per-class records (no new files).
-    code, out, _ = run(capsys, "tournament", "table", "--n", "4", "--json")
+    code, out, _ = table(capsys, cache, 4, "--json")
     assert code == 0
-    assert len(list(cache_dir.glob("tournament-index-*.json"))) == 4
+    assert len(list(cache.glob("tournament-index-*.json"))) == 4
+
+
+def test_tournament_table_reply_does_not_depend_on_the_cache(tmp_path, capsys, monkeypatch):
+    # No cache, a fresh one and a warm one give the same record.  Without
+    # --cache-dir nothing is written: not under HOME, where the default cache
+    # was, nor where $BOOLDIM_CACHE_DIR, no longer read, points.
+    home = tmp_path / "home"
+    home.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("BOOLDIM_CACHE_DIR", str(home / "cache"))
+    for n in range(1, 6):
+        cache = tmp_path / f"cache-{n}"
+        replies = [run(capsys, "tournament", "table", "--n", str(n), "--json")]
+        replies += [table(capsys, cache, n, "--json") for _ in ("cold", "warm")]
+        records = []
+        for code, out, err in replies:
+            assert (code, err) == (0, "")
+            record = json.loads(out)
+            record.pop("elapsed_ms")
+            records.append(record)
+        assert records[0] == records[1] == records[2]
+        assert len(list(cache.iterdir())) == records[0]["result"]["classes"]
+    assert not any(home.iterdir())
 
 
 def test_tournament_table_records_pass_independent_check(tmp_path, capsys):
@@ -344,75 +367,113 @@ def test_tournament_table_records_pass_independent_check(tmp_path, capsys):
     item = {"command": "tournament table", "golden": GOLDEN["pools"]["table"]["5"][0]["golden"]}
     cache = tmp_path / "cache"
     for _ in range(2):
-        code, out, _ = run(
-            capsys, "tournament", "table", "--n", "5", "--json", "--cache-dir", str(cache)
-        )
+        code, out, _ = table(capsys, cache, 5, "--json")
         assert code == 0
         assert check_tournament_table(item, json.loads(out), None) is None
         assert len(list(cache.glob("tournament-index-*.json"))) == 12
 
 
-def test_tournament_table_bad_budget_on_warm_cache_exit_2(cache_dir, capsys):
-    code, _, _ = run(capsys, "tournament", "table", "--n", "3")
+def test_tournament_table_bad_budget_on_warm_cache_exit_2(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    code, _, _ = table(capsys, cache, 3)
     assert code == 0
-    assert any(cache_dir.iterdir())
+    assert any(cache.iterdir())
     for budget in ("-1", "nan"):
-        code, _, err = run(capsys, "tournament", "table", "--n", "3", "--budget", budget)
+        code, _, err = table(capsys, cache, 3, "--budget", budget)
         assert code == 2
         assert "budget" in err
 
 
-def test_tournament_table_unreadable_cache_entry_is_a_miss(cache_dir, capsys):
-    code, _, _ = run(capsys, "tournament", "table", "--n", "4")
+def test_tournament_table_unreadable_cache_entry_is_a_miss(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    code, _, _ = table(capsys, cache, 4)
     assert code == 0
-    entries = sorted(cache_dir.glob("tournament-index-*.json"))
+    entries = sorted(cache.glob("tournament-index-*.json"))
     entries[0].write_text("{garbage")
-    code, out, _ = run(capsys, "tournament", "table", "--n", "4", "--json")
+    code, out, _ = table(capsys, cache, 4, "--json")
     assert code == 0
     assert json.loads(out)["result"]["max_index"] == 1
     # The miss was recomputed and renamed over the unreadable entry.
     assert json.loads(entries[0].read_text())["index"] in (0, 1)
-    assert sorted(cache_dir.iterdir()) == entries
+    assert sorted(cache.iterdir()) == entries
 
 
-def test_tournament_table_unwritable_cache_entry_only_warns(cache_dir, capsys):
-    code, expected, _ = run(capsys, "tournament", "table", "--n", "3")
+@pytest.mark.parametrize(
+    "plant",
+    [
+        lambda own, other: {**own, "index": 7},
+        lambda own, other: {**own, "index": True},
+        lambda own, other: other,
+    ],
+    ids=["index-out-of-range", "index-not-an-int", "entry-of-another-class"],
+)
+def test_tournament_table_checks_cache_entries(tmp_path, capsys, plant):
+    # An entry is served only when it names its own tournament and holds an
+    # int index in 0..n; any other entry is a miss, recomputed and rewritten.
+    cache = tmp_path / "cache"
+    code, expected, _ = table(capsys, cache, 4)
+    assert (code, expected) == (0, "i(4) = 1 over 4 isomorphism classes\n")
+    entries = {path: path.read_text() for path in cache.iterdir()}
+    by_index = {json.loads(text)["index"]: path for path, text in entries.items()}
+    acyclic = by_index[0]
+    other = json.loads(entries[by_index[1]])
+    acyclic.write_text(json.dumps(plant(json.loads(entries[acyclic]), other)))
+    assert table(capsys, cache, 4) == (0, expected, "")
+    assert {path: path.read_text() for path in cache.iterdir()} == entries
+
+
+def test_tournament_table_unwritable_cache_entry_only_warns(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    code, expected, _ = table(capsys, cache, 3)
     assert code == 0
-    entries = sorted(cache_dir.glob("tournament-index-*.json"))
+    entries = sorted(cache.glob("tournament-index-*.json"))
     for entry in entries:
         # A non-empty directory at the entry's path: reading it is a miss and
         # renaming a file over it fails.
         entry.unlink()
         entry.mkdir()
         (entry / "keep").write_text("")
-    code, out, err = run(capsys, "tournament", "table", "--n", "3")
+    code, out, err = table(capsys, cache, 3)
     assert code == 0
     assert out == expected
     assert err.count("warning: cache entry not written") == len(entries)
-    assert sorted(cache_dir.iterdir()) == entries
+    assert sorted(cache.iterdir()) == entries
 
 
-def test_tournament_table_cache_keyed_on_version(cache_dir, capsys, monkeypatch):
+def test_tournament_table_unusable_cache_dir_only_warns(tmp_path, capsys):
+    # A regular file where the directory should be: each read is a miss and
+    # each write fails, so every class warns and the table still prints.
+    cache = tmp_path / "cache"
+    cache.write_text("not a directory")
+    code, out, err = table(capsys, cache, 3)
+    assert (code, out) == (0, "i(3) = 1 over 2 isomorphism classes\n")
+    assert err.count("warning: cache entry not written") == 2
+    assert cache.read_text() == "not a directory"
+
+
+def test_tournament_table_cache_keyed_on_version(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
     with monkeypatch.context() as other_build:
         other_build.setattr(cli, "__version__", "0.0.0-other")
-        code, _, _ = run(capsys, "tournament", "table", "--n", "4")
+        code, _, _ = table(capsys, cache, 4)
     assert code == 0
-    stale = sorted(cache_dir.glob("tournament-index-*.json"))
+    stale = sorted(cache.glob("tournament-index-*.json"))
     assert len(stale) == 4
     for entry in stale:
-        entry.write_text(json.dumps({**json.loads(entry.read_text()), "index": 7}))
-    code, out, _ = run(capsys, "tournament", "table", "--n", "4", "--json")
+        # An in-range index for its own tournament: only the version rejects it.
+        entry.write_text(json.dumps({**json.loads(entry.read_text()), "index": 3}))
+    code, out, _ = table(capsys, cache, 4, "--json")
     assert code == 0
     # The other build's entries are misses: recomputed and stored alongside.
     assert json.loads(out)["result"]["max_index"] == 1
-    assert len(list(cache_dir.glob("tournament-index-*.json"))) == 8
+    assert len(list(cache.glob("tournament-index-*.json"))) == 8
 
 
 def test_tournament_table_ignores_workers(capsys):
     records = []
     for workers in ("1", "2"):
         code, out, _ = run(capsys, "tournament", "table", "--n", "4", "--json",
-                           "--no-cache", "--workers", workers)
+                           "--workers", workers)
         assert code == 0
         record = json.loads(out)
         record.pop("elapsed_ms")
@@ -449,7 +510,7 @@ def test_only_the_table_uses_the_cache(tmp_path, capsys):
     assert not cache.exists() or not any(cache.iterdir())
 
 
-def test_tournament_embeds(cache_dir, capsys):
+def test_tournament_embeds(capsys):
     code, out, _ = run(
         capsys, "tournament", "embeds", "--pattern", "cn:7", "--target", "cn:8"
     )
@@ -457,7 +518,7 @@ def test_tournament_embeds(cache_dir, capsys):
     assert "does not embed" in out
 
 
-def test_generate_round_trips(cache_dir, capsys):
+def test_generate_round_trips(capsys):
     code, out, _ = run(capsys, "generate", "--family", "strongpath", "--n", "5")
     assert code == 0
     from booldim.tournaments import Tournament, gen_strong_path
@@ -470,7 +531,7 @@ def test_generate_round_trips(cache_dir, capsys):
     assert parse_graph6(out).adj == ortho_graph(3).adj
 
 
-def test_stdin_input(cache_dir, capsys, monkeypatch):
+def test_stdin_input(capsys, monkeypatch):
     import io
 
     g6 = write_graph6(complete_graph(4))
@@ -482,7 +543,7 @@ def test_stdin_input(cache_dir, capsys, monkeypatch):
     assert "symplectic=4" in out
 
 
-def test_malformed_input_exit_2(tmp_path, cache_dir, capsys):
+def test_malformed_input_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.g6"
     bad.write_text("}}}}}}}}}}}}}}}}")
     code, _, err = run(capsys, "graph", "dims", "--graph6", str(bad))
@@ -490,7 +551,7 @@ def test_malformed_input_exit_2(tmp_path, cache_dir, capsys):
     assert "error:" in err
 
 
-def test_missing_input_exit_2(cache_dir, capsys):
+def test_missing_input_exit_2(capsys):
     code, _, err = run(capsys, "graph", "dims")
     assert code == 2
 
@@ -536,17 +597,25 @@ def test_negative_acyclic_size_exit_2(capsys, command):
     [
         "tree mstar --edges t8.txt --budget 1",
         "tournament embeds --pattern cn:5 --target cn:6 --budget 1",
+        "graph dims --edges t8.txt --n 4",
+        "graph oracle-check --edges t8.txt --file s5.txt",
+        "tree mstar --edges t8.txt --family cn",
+        "tree verify --edges t8.txt --pattern cn:5",
+        "tournament index --family c3sum --n 2 --graph6 g.g6",
+        "tournament embeds --pattern cn:5 --target cn:6 --n 4",
         "graph dims --edges t8.txt --no-cache",
         "graph oracle-check --edges t8.txt --no-cache",
         "tree mstar --edges t8.txt --no-cache",
         "tree verify --edges t8.txt --no-cache",
         "tournament index --family c3sum --n 2 --no-cache",
+        "tournament table --n 4 --no-cache",
         "tournament embeds --pattern cn:5 --target cn:6 --no-cache",
     ],
 )
 def test_flag_the_verb_does_not_read_exit_2(capsys, command):
-    # --budget bounds only the verbs that search and --no-cache concerns
-    # only the table, so elsewhere they are refused rather than ignored.
+    # --budget bounds only the verbs that search and each input flag belongs
+    # to its verbs, so elsewhere they are refused rather than ignored; the
+    # deleted --no-cache is refused by every verb, the table included.
     with pytest.raises(SystemExit) as refused:
         cli.main(command.split())
     assert refused.value.code == 2
@@ -572,8 +641,8 @@ def test_disagreement_exit_1(parity_files, capsys, monkeypatch, command, module,
     assert False in json.loads(out)["result"].values()
 
 
-def test_capacity_exit_3(tmp_path, cache_dir, capsys):
-    code, _, err = run(capsys, "tournament", "table", "--n", "9")
+def test_capacity_exit_3(tmp_path, capsys):
+    code, _, err = table(capsys, tmp_path / "cache", 9)
     assert code == 3
     assert "error:" in err
 
@@ -587,7 +656,7 @@ def test_oversize_family_exit_3_before_building(capsys):
     assert time.perf_counter() - started < 0.5
 
 
-def test_budget_exhaustion_exit_3(tmp_path, cache_dir, capsys):
+def test_budget_exhaustion_exit_3(tmp_path, capsys):
     g6 = tmp_path / "big.g6"
     from booldim.graphs import ortho_graph_H
 
@@ -607,7 +676,7 @@ BUDGET_COMMANDS = {
 
 @pytest.mark.parametrize("command", sorted(BUDGET_COMMANDS))
 @pytest.mark.parametrize("budget, code", [("nan", 2), ("-1", 2), ("0", 3)])
-def test_budget_value_exit_codes(tmp_path, cache_dir, capsys, monkeypatch, command, budget, code):
+def test_budget_value_exit_codes(tmp_path, capsys, monkeypatch, command, budget, code):
     # A NaN or negative budget is malformed input; a zero budget is a
     # search that runs out at its first poll.
     (tmp_path / "p16.g6").write_text(write_graph6(path_graph(16)) + "\n")
@@ -617,7 +686,7 @@ def test_budget_value_exit_codes(tmp_path, cache_dir, capsys, monkeypatch, comma
     assert "budget" in err
 
 
-def test_budget_expires_mid_search_exit_3(tmp_path, cache_dir, capsys, clock_jump):
+def test_budget_expires_mid_search_exit_3(tmp_path, capsys, clock_jump):
     g6 = tmp_path / "p16.g6"
     g6.write_text(write_graph6(path_graph(16)))
     clock_jump(3)
@@ -629,7 +698,7 @@ def test_budget_expires_mid_search_exit_3(tmp_path, cache_dir, capsys, clock_jum
 
 
 def test_tree_verify_budget_expires_in_independence_search(
-    tmp_path, cache_dir, capsys, clock_jump, monkeypatch
+    tmp_path, capsys, clock_jump, monkeypatch
 ):
     # The independence search polls several times on this tree and runs
     # before the diagonal sweep, so the budget must expire inside it.
@@ -649,7 +718,7 @@ def test_tree_verify_budget_expires_in_independence_search(
     assert clock.reads == 2
 
 
-def test_oracle_check(tmp_path, cache_dir, capsys):
+def test_oracle_check(tmp_path, capsys):
     g6 = tmp_path / "p5.g6"
     g6.write_text(write_graph6(path_graph(5)))
     code, out, _ = run(capsys, "graph", "oracle-check", "--graph6", str(g6), "--json")

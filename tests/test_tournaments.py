@@ -11,7 +11,7 @@ import pytest
 
 from booldim import _kernels_py, dims
 from booldim.errors import BudgetExceededError, CapacityError, FormatError
-from booldim.graphs import Graph, realize, CliqueFamily
+from booldim.graphs import Graph
 from booldim.tournaments import (
     Tournament,
     apply_inversions,

@@ -11,7 +11,7 @@ import pytest
 from booldim import trees
 from booldim.dims import boolean_dim, ind_mod2
 from booldim.errors import NotATreeError
-from booldim.graphs import MAX_VERTICES, Graph, cycle_graph, realize
+from booldim.graphs import MAX_VERTICES, cycle_graph, realize
 from booldim.trees import (
     Base,
     Cherry,
