@@ -57,7 +57,6 @@ from .tournaments import (
     inversion_table,
     invert,
     is_acyclic,
-    max_inversion_table,
 )
 from .trees import (
     StarDecomposition,
@@ -109,7 +108,6 @@ __all__ = [
     "is_independent_mod2",
     "kernel_backend",
     "m_star",
-    "max_inversion_table",
     "ortho_graph",
     "ortho_graph_H",
     "parse_edge_list",

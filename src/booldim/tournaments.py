@@ -175,7 +175,8 @@ def inversion_index(
     Minimum over all target orders of the boolean cost of the disagreement
     graph; the winning order is the lexicographically first one attaining the
     minimum, and the certificate subsets are the witness cliques of the
-    optimal graph, sized two or more.
+    optimal graph, exactly as many as the index (a clique under two vertices
+    inverts nothing, so an optimal family has none).
     """
     if t.n > INDEX_VERTEX_CAP:
         raise CapacityError(f"inversion index search capped at {INDEX_VERTEX_CAP} vertices")
@@ -184,20 +185,16 @@ def inversion_index(
     if order is not None:
         return 0, InversionCertificate((), order)
     value, order, mask = kernels.inversion_search(t.arcs, t.n, deadline)
-    certificate = _certificate(t, order, mask)
-    return value, certificate
+    return value, _certificate(t, value, order, mask)
 
 
-def _certificate(t: Tournament, order, mask: int) -> InversionCertificate:
-    graph = disagreement_graph(t, order)
-    family = dims.witness_family(graph, mask)
-    subsets = tuple(c for c in family.members if c.bit_count() >= 2)
-    certificate = InversionCertificate(subsets, tuple(order))
-    final = apply_inversions(t, subsets)
-    got = is_acyclic(final)
-    if got != tuple(order):  # pragma: no cover - replay is a structural identity
+def _certificate(t: Tournament, value: int, order, mask: int) -> InversionCertificate:
+    subsets = dims.witness_family(disagreement_graph(t, order), mask).members
+    if len(subsets) != value:
+        raise AssertionError(f"certificate length {len(subsets)} differs from the index {value}")
+    if is_acyclic(apply_inversions(t, subsets)) != tuple(order):  # pragma: no cover
         raise AssertionError("certificate replay did not reach the target order")
-    return certificate
+    return InversionCertificate(subsets, tuple(order))
 
 
 def inversion_index_oracle(t: Tournament, m_max: int) -> int | None:
@@ -271,8 +268,11 @@ def gen_antichain_cn(n: int) -> Tournament:
 def embeds(pattern: Tournament, host: Tournament) -> bool:
     """True iff some induced subtournament of host is isomorphic to pattern.
 
-    Backtracking vertex by vertex with degree pruning: an image must have at
-    least the pattern vertex's out- and in-degree available globally.
+    Pattern vertices are mapped in order, each to an unused host vertex w in
+    increasing order.  With ``placed`` the mask of the images so far, w can
+    be the image of vertex i when ``host.arcs[w] & placed`` is the mask of
+    the images of the earlier vertices that i beats, and its out-degree lies
+    between i's and i's plus the host vertices the pattern leaves out.
     """
     if host.n > EMBEDS_VERTEX_CAP:
         raise CapacityError(f"embedding search capped at {EMBEDS_VERTEX_CAP} vertices")
@@ -280,35 +280,25 @@ def embeds(pattern: Tournament, host: Tournament) -> bool:
         return False
     p_out = pattern.out_degrees()
     h_out = host.out_degrees()
-    mapping = [-1] * pattern.n
-    used = [False] * host.n
+    spare = host.n - pattern.n
+    images = [0] * pattern.n  # one bit per placed image
 
-    def rec(i: int) -> bool:
+    def rec(i: int, placed: int) -> bool:
         if i == pattern.n:
             return True
-        need_out = p_out[i]
-        need_in = pattern.n - 1 - need_out
+        beats = sum(images[j] for j in set_bits(pattern.arcs[i] & ((1 << i) - 1)))
         for w in range(host.n):
-            if used[w]:
-                continue
-            if h_out[w] < need_out or host.n - 1 - h_out[w] < need_in:
-                continue
-            consistent = True
-            for j in range(i):
-                if pattern.has_arc(j, i) != host.has_arc(mapping[j], w):
-                    consistent = False
-                    break
-            if not consistent:
-                continue
-            mapping[i] = w
-            used[w] = True
-            if rec(i + 1):
-                return True
-            used[w] = False
-            mapping[i] = -1
+            if (
+                not (placed >> w) & 1
+                and p_out[i] <= h_out[w] <= p_out[i] + spare
+                and host.arcs[w] & placed == beats
+            ):
+                images[i] = 1 << w
+                if rec(i + 1, placed | images[i]):
+                    return True
         return False
 
-    return rec(0)
+    return rec(0, 0)
 
 
 def canonical_form(t: Tournament) -> Tournament:
@@ -335,14 +325,9 @@ def enumerate_tournaments(n: int) -> list[Tournament]:
         seen = set()
         new = size - 1
         for arcs in reps:
-            for pattern in range(1 << new):
-                grown = list(arcs) + [0]
-                for j in range(new):
-                    if (pattern >> j) & 1:
-                        grown[new] |= 1 << j
-                    else:
-                        grown[j] |= 1 << new
-                seen.add(kernels.canon_tournament(tuple(grown), size))
+            for pattern in range(1 << new):  # bit j: the new vertex beats j
+                grown = tuple(row | ((~pattern >> j) & 1) << new for j, row in enumerate(arcs))
+                seen.add(kernels.canon_tournament(grown + (pattern,), size))
         reps = sorted(seen)
     return [Tournament(n, arcs) for arcs in reps]
 
@@ -356,46 +341,29 @@ def inversion_table(
     """Inversion index of every tournament on n vertices up to isomorphism.
 
     Returns (canonical representative, index) per class, in enumeration
-    order.  ``index_cache`` (any mutable mapping from tournament text to int)
-    lets callers persist per-class results between runs; classes it lacks are
-    computed here, in enumeration order.  For n >= 6 the maximum is checked
-    against the proven window ceil((n-1)/2 - log2 n) <= i(n) <= n - 4.
+    order; i(n) is the largest index.  ``index_cache`` (any mutable mapping
+    from tournament text to int) lets callers persist per-class results
+    between runs: each class is looked up once, the classes it lacks are
+    computed in one ``run_tasks`` batch, in enumeration order, and written
+    back.  For n >= 6 the maximum is checked against the proven window
+    ceil((n-1)/2 - log2 n) <= i(n) <= n - 4.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     if n > TABLE_VERTEX_CAP:
         raise CapacityError(f"table sweep capped at {TABLE_VERTEX_CAP} vertices")
     f2core._deadline(budget_s)  # a malformed budget fails even on a full cache
+    cache = {} if index_cache is None else index_cache
     reps = enumerate_tournaments(n)
-    values: dict[str, int] = {}  # by the representative's text
-    missing = []
-    for rep in reps:
-        key = rep.to_text()
-        if index_cache is not None and key in index_cache:
-            values[key] = int(index_cache[key])
-        else:
-            missing.append(rep)
-    tasks = [partial(inversion_index, rep, budget_s=budget_s) for rep in missing]
-    for rep, (value, _) in zip(missing, run_tasks(tasks)):
-        key = rep.to_text()
-        values[key] = value
-        if index_cache is not None:
-            index_cache[key] = value
-    result = max(values.values())
+    keys = [rep.to_text() for rep in reps]
+    values = [int(cache[key]) if key in cache else None for key in keys]
+    missing = [i for i, value in enumerate(values) if value is None]
+    tasks = [partial(inversion_index, reps[i], budget_s=budget_s) for i in missing]
+    for i, (value, _) in zip(missing, run_tasks(tasks)):
+        values[i] = cache[keys[i]] = value
+    result = max(values)
     if n >= 6:
         low = math.ceil((n - 1) / 2 - math.log2(n))
         if not low <= result <= n - 4:
             raise AssertionError(f"i({n}) = {result} escapes the proven window")
-    return [(rep, values[rep.to_text()]) for rep in reps]
-
-
-def max_inversion_table(
-    n: int,
-    *,
-    budget_s: float | None = None,
-    index_cache=None,
-) -> int:
-    """Maximum inversion index over all tournaments on n vertices (see
-    inversion_table)."""
-    table = inversion_table(n, budget_s=budget_s, index_cache=index_cache)
-    return max(value for _, value in table)
+    return list(zip(reps, values))

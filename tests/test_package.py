@@ -51,7 +51,6 @@ EXPORTS = [
     "is_independent_mod2",
     "kernel_backend",
     "m_star",
-    "max_inversion_table",
     "ortho_graph",
     "ortho_graph_H",
     "parse_edge_list",

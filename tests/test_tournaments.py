@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from booldim import _kernels_py, dims
+from booldim import _kernels_py, dims, tournaments
 from booldim.errors import BudgetExceededError, CapacityError, FormatError
 from booldim.graphs import Graph
 from booldim.tournaments import (
@@ -27,7 +27,6 @@ from booldim.tournaments import (
     inversion_table,
     invert,
     is_acyclic,
-    max_inversion_table,
 )
 from conftest import (
     all_tournaments_labeled,
@@ -40,6 +39,29 @@ from conftest import (
 
 def three_cycle() -> Tournament:
     return Tournament(3, (0b010, 0b100, 0b001))
+
+
+def relabel(rows, perm) -> tuple[int, ...]:
+    """Rows of the tournament with vertex v renamed perm[v]."""
+    out = [0] * len(rows)
+    for v, row in enumerate(rows):
+        for w in range(len(rows)):
+            if (row >> w) & 1:
+                out[perm[v]] |= 1 << perm[w]
+    return tuple(out)
+
+
+def induced(rows, keep) -> tuple[int, ...]:
+    """Rows of the subtournament on the vertices keep, renumbered in order."""
+    return tuple(sum(1 << b for b, w in enumerate(keep) if (rows[v] >> w) & 1) for v in keep)
+
+
+def extended(t: Tournament, beats_new: int) -> Tournament:
+    """t plus a vertex n, beaten by the vertices in the mask beats_new and
+    beating the others."""
+    rows = [row | ((beats_new >> v) & 1) << t.n for v, row in enumerate(t.arcs)]
+    rows.append(((1 << t.n) - 1) & ~beats_new)
+    return Tournament(t.n + 1, tuple(rows))
 
 
 class TestTournamentRows:
@@ -215,9 +237,23 @@ class TestInversionIndex:
         for _ in range(80):
             t = random_tournament(rng, rng.randint(1, 7))
             value, cert = inversion_index(t)
-            assert len(cert.subsets) <= value
+            assert len(cert.subsets) == value
             final = apply_inversions(t, cert.subsets)
             assert is_acyclic(final) == cert.order
+
+    def test_planted_repeated_clique_raises(self, monkeypatch):
+        # One clique appended twice still replays to the order, so only the
+        # length check can tell the certificate is not optimal.
+        build = dims.witness_family
+
+        def append_twice(g, mask):
+            family = build(g, mask)
+            extra = family.members[0]
+            return type(family)(family.n, family.members + (extra, extra))
+
+        monkeypatch.setattr(dims, "witness_family", append_twice)
+        with pytest.raises(AssertionError, match="length"):
+            inversion_index(three_cycle())
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
@@ -522,6 +558,32 @@ class TestEmbeds:
         with pytest.raises(CapacityError):
             embeds(Tournament.acyclic(3), Tournament.acyclic(11))
 
+    def test_matches_induced_class_oracle(self):
+        # Oracle: p embeds in h iff some vertex subset of h induces a
+        # tournament whose canonical form is p.  Every labeling of a class
+        # representative maps to that representative, so the induced rows
+        # of a subset look their canonical form up directly.  Hosts on six
+        # vertices are the one-vertex extensions of the five-vertex classes
+        # (every class restricts to one of them), duplicates included.
+        patterns = [t for n in range(1, 6) for t in enumerate_tournaments(n)]
+        canon = {}
+        for p in patterns:
+            for perm in permutations(range(p.n)):
+                canon[relabel(p.arcs, perm)] = p
+        hosts = patterns + [
+            extended(t, beats_new)
+            for t in enumerate_tournaments(5)
+            for beats_new in range(1 << 5)
+        ]
+        for h in hosts:
+            inside = {
+                canon[induced(h.arcs, keep)]
+                for k in range(1, min(h.n, 5) + 1)
+                for keep in combinations(range(h.n), k)
+            }
+            for p in patterns:
+                assert embeds(p, h) == (p in inside), (p.arcs, h.arcs)
+
 
 class TestEnumerationAndTable:
     def test_class_counts(self):
@@ -560,36 +622,57 @@ class TestEnumerationAndTable:
             t = random_tournament(rng, n)
             perm = list(range(n))
             rng.shuffle(perm)
-            arcs = [0] * n
-            for i in range(n):
-                for j in range(n):
-                    if t.has_arc(i, j):
-                        arcs[perm[i]] |= 1 << perm[j]
-            assert canonical_form(Tournament(n, tuple(arcs))) == canonical_form(t)
+            assert canonical_form(Tournament(n, relabel(t.arcs, perm))) == canonical_form(t)
 
     def test_table_small(self):
-        assert [max_inversion_table(n) for n in range(1, 6)] == [0, 0, 1, 1, 2]
+        assert [max(i for _, i in inversion_table(n)) for n in range(1, 6)] == [0, 0, 1, 1, 2]
 
     def test_table_cache_reused(self):
         cache: dict[str, int] = {}
-        assert max_inversion_table(4, index_cache=cache) == 1
+        assert max(i for _, i in inversion_table(4, index_cache=cache)) == 1
         assert len(cache) == 4
         poisoned = {k: 7 for k in cache}
-        assert max_inversion_table(4, index_cache=poisoned) == 7
+        assert max(i for _, i in inversion_table(4, index_cache=poisoned)) == 7
+
+    def test_cached_classes_are_not_computed(self, monkeypatch):
+        full: dict[str, int] = {}
+        table = inversion_table(4, index_cache=full)
+        keys = [rep.to_text() for rep, _ in table]
+        assert list(full) == keys
+        batches, computed = [], []
+        run = tournaments.run_tasks
+        index = tournaments.inversion_index
+
+        def spy_run(tasks):
+            batches.append(len(tasks))
+            return run(tasks)
+
+        def spy_index(t, **kwargs):
+            computed.append(t.to_text())
+            return index(t, **kwargs)
+
+        monkeypatch.setattr(tournaments, "run_tasks", spy_run)
+        monkeypatch.setattr(tournaments, "inversion_index", spy_index)
+        assert inversion_table(4, index_cache=dict(full)) == table
+        assert batches == [0] and computed == []
+        half = {key: full[key] for key in keys[::2]}
+        assert inversion_table(4, index_cache=half) == table
+        assert batches == [0, 2] and computed == keys[1::2]
+        assert half == full
 
     def test_table_capacity(self):
         with pytest.raises(CapacityError):
-            max_inversion_table(7)
+            max(i for _, i in inversion_table(7))
 
     def test_table_rejects_bad_budget_on_full_cache(self):
         # The budget is checked before the cache is read, so a cache that
         # holds every class cannot hide a malformed one.
         cache: dict[str, int] = {}
-        assert max_inversion_table(3, index_cache=cache) == 1
+        assert max(i for _, i in inversion_table(3, index_cache=cache)) == 1
         assert len(cache) == 2
         for budget in (-1.0, float("nan")):
             with pytest.raises(ValueError, match="budget"):
-                max_inversion_table(3, budget_s=budget, index_cache=cache)
+                max(i for _, i in inversion_table(3, budget_s=budget, index_cache=cache))
 
 
 class TestTextFormat:
