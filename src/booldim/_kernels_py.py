@@ -45,9 +45,20 @@ def diagonal_sweep(rows, n: int, cap: int, stop_at: int = 0, deadline: float | N
     goes first, so the leaves come in reflected-Gray-code order (position p
     is mask p ^ (p >> 1)) and the mask returned is the first in that order to
     attain the minimum.  Deciding bit k fixes row k of A + D; the fixed rows
-    sit in an XOR basis keyed by leading bit, and their rank is a lower bound
-    for every leaf below, so a subtree is cut once it reaches the best cost
-    found.  The search stops once the best cost is at most ``stop_at``.
+    sit in an XOR basis keyed by leading bit.  The search stops once the best
+    cost is at most ``stop_at``.
+
+    A subtree is cut once a lower bound for every leaf below reaches the best
+    cost found.  With the rows K decided and the rest U not, A + D is
+    [[X, B^T], [B, P]] with the rows [B P] known (P = (A + D)[K, K]) and X
+    unknown only on its diagonal.  Even a free X leaves rank at least
+    rank[B P] + rank[B^T; P] - rank P = 2r - rank P, r the rank of the
+    decided rows (Woerdeman, "Minimal rank completions for block matrices",
+    Linear Algebra Appl. 121, 1989).  The basis vectors leading on a decided
+    column stay independent on those columns and the others are zero there,
+    so rank P is r less the count ``low`` of basis vectors leading below the
+    decided columns, and the bound is r + low, kept in O(1) per node.  The
+    bound needs symmetric ``rows``; every caller passes an adjacency matrix.
 
     Mask 0 (Gray position 0) is skipped: the least rank over the nonzero
     masks is the boolean cost, and a caller that wants the geometric one
@@ -59,8 +70,9 @@ def diagonal_sweep(rows, n: int, cap: int, stop_at: int = 0, deadline: float | N
     basis = [0] * n
     nodes = 0
 
-    def descend(k, mask, parity, r):
-        # Bits k..n-1 of mask are decided; their rows have rank r < best.
+    def descend(k, mask, parity, r, low):
+        # Bits k..n-1 of mask are decided; their rows have rank r, ``low`` of
+        # the basis vectors lead below bit k, and r + low < best.
         # Returns True once the search may stop.
         nonlocal best, best_mask, nodes
         if not nodes & _CHECK_MASK:
@@ -72,6 +84,8 @@ def diagonal_sweep(rows, n: int, cap: int, stop_at: int = 0, deadline: float | N
             best, best_mask = r, mask
             return best <= stop_at
         k -= 1
+        if basis[k]:
+            low -= 1
         for d in (parity, parity ^ 1):
             row = rows[k] ^ (d << k)
             while row:
@@ -80,17 +94,18 @@ def diagonal_sweep(rows, n: int, cap: int, stop_at: int = 0, deadline: float | N
                     break
                 row ^= basis[lead]
             if row:
-                if r + 1 < best:
+                below = low + (lead < k)
+                if r + 1 + below < best:
                     basis[lead] = row
-                    done = descend(k, mask | (d << k), parity ^ d, r + 1)
+                    done = descend(k, mask | (d << k), parity ^ d, r + 1, below)
                     basis[lead] = 0
                     if done:
                         return True
-            elif r < best and descend(k, mask | (d << k), parity ^ d, r):
+            elif r + low < best and descend(k, mask | (d << k), parity ^ d, r, low):
                 return True
         return False
 
-    descend(n, 0, 0, 0)
+    descend(n, 0, 0, 0, 0)
     return best, best_mask
 
 

@@ -24,7 +24,7 @@ from .errors import CapacityError
 from .graphs import CliqueFamily, Graph, _vertex_mask, realize, set_bits
 
 #: The pruned diagonal search still grows exponentially on its worst inputs (a
-#: 16-vertex path takes about 33k nodes), so cap it: a stray huge input fails
+#: 16-vertex path takes about 27k nodes), so cap it: a stray huge input fails
 #: fast instead of running for days.
 DEFAULT_SWEEP_CAP = 26
 

@@ -556,7 +556,7 @@ def test_budget_exceeded_raises():
 def test_budget_expires_mid_search(clock_jump):
     from booldim.errors import BudgetExceededError
 
-    # A 16-vertex path visits about 33k search nodes, 32 deadline polls.
+    # A 16-vertex path visits about 27k search nodes, 27 deadline polls.
     clock = clock_jump(3)
     with pytest.raises(BudgetExceededError):
         dimension_report(path_graph(16), budget_s=3600)

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
 from booldim import dims, f2core
 from booldim._backend import kernels
 from booldim.errors import CapacityError
-from booldim.graphs import Graph, complete_graph
-from conftest import plus_diagonal, random_symmetric_rows
+from booldim.graphs import Graph, complete_graph, cycle_graph, path_graph
+from conftest import plus_diagonal, random_graph, random_symmetric_rows
 
 
 def rank(rows) -> int:
@@ -167,6 +168,49 @@ def gray_position(mask: int) -> int:
     return pos
 
 
+def naive_capped_scan(rows, n, cap, stop_at):
+    """The kernel's contract by a literal Gray-order scan of the nonzero
+    masks with full recompute: the first running best below cap, ending at
+    the first one at or below stop_at."""
+    best, best_mask = cap, -1
+    for pos in range(1, 1 << n):
+        mask = pos ^ (pos >> 1)
+        r = rank(plus_diagonal(rows, mask))
+        if r < best:
+            best, best_mask = r, mask
+            if best <= stop_at:
+                break
+    return best, best_mask
+
+
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def sweep_nodes(g: Graph) -> int:
+    """Search nodes of ``f2core.minrank_sweep(g)``, counted as calls of the
+    kernel's recursive ``descend`` frame."""
+    descend_code = next(
+        c for c in kernels.diagonal_sweep.__code__.co_consts
+        if getattr(c, "co_name", None) == "descend"
+    )
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is descend_code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        f2core.minrank_sweep(g)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 class TestSweeps:
     def test_minrank_matches_naive(self):
         rng = random.Random(21)
@@ -240,15 +284,38 @@ class TestSweeps:
             rows = random_symmetric_rows(rng, n, zero_diagonal=rng.random() < 0.5)
             cap = rng.randint(0, n + 1)
             stop_at = rng.randint(0, 3)
-            best, best_mask = cap, -1
-            for pos in range(1, 1 << n):
-                mask = pos ^ (pos >> 1)
-                r = rank(plus_diagonal(rows, mask))
-                if r < best:
-                    best, best_mask = r, mask
-                    if best <= stop_at:
-                        break
-            assert kernels.diagonal_sweep(rows, n, cap, stop_at) == (best, best_mask)
+            assert kernels.diagonal_sweep(rows, n, cap, stop_at) == naive_capped_scan(
+                rows, n, cap, stop_at
+            )
+
+    def test_kernel_matches_naive_scan_where_the_completion_bound_cuts(self):
+        # From n = 9 on the completion term cuts often, on sparse rows (many
+        # basis vectors lead below the decided columns) and dense ones alike.
+        rng = random.Random(106)
+        for _ in range(100):
+            n = rng.randint(9, 11)
+            rows = random_graph(rng, n, rng.choice((0.15, 0.5, 0.85))).adj
+            if rng.random() < 0.5:
+                rows = plus_diagonal(rows, rng.getrandbits(n))
+            cap = rng.randint(n // 2, n + 1)
+            stop_at = rng.choice((0, 0, rng.randint(1, n // 2)))
+            assert kernels.diagonal_sweep(rows, n, cap, stop_at) == naive_capped_scan(
+                rows, n, cap, stop_at
+            )
+
+    def test_completion_bound_cuts_nodes(self):
+        # Search nodes counted as calls of the kernel's recursive frame.  Each
+        # count beside the pin is the count before the completion bound, when
+        # only the rank of the decided rows cut.
+        cases = [
+            (path_graph(16), 27_311, 32_772),
+            (cycle_graph(16), 13_660, 16_390),
+            (relabeled(path_graph(16), random.Random(1)), 18_741, 35_503),
+            (random_graph(random.Random(2), 20, 0.15), 15_356, 22_153),
+            (random_graph(random.Random(2), 20, 0.5), 24_391, 35_604),
+        ]
+        for g, pinned, before in cases:
+            assert sweep_nodes(g) == pinned < before
 
     def test_rejects_bad_budgets(self):
         # Checked before the rank, so a graph without edges is refused too.
